@@ -1,6 +1,6 @@
 """Engine bench -- repeated/overlapping searches direct vs. through
-the query engine, the sharded fan-out path per execution backend, and
-the CSR kernel trajectory.
+the query engine, a cold pass per execution backend, and the CSR
+kernel trajectory.
 
 Interactive exploration traffic repeats itself (every display click
 re-runs its search, hub authors get probed by many users), which is
@@ -9,10 +9,10 @@ This bench measures throughput over a repeated query pool: direct
 algorithm calls (the seed behaviour), engine cold (cache filling as
 the pool drains), engine warm (every query a cache hit), engine warm
 with 4 workers (the server's concurrent configuration), and a
-4-shard/4-worker engine draining the same pool cold through the
-partition-parallel fan-out -- once per execution backend (``thread``
-and ``process``), so the GIL-dodging process pool has a recorded
-baseline against the thread pool on every runner.
+4-worker engine draining the same pool cold with every query
+submitted up front -- once per execution backend (``thread`` and
+``process``), so the GIL-dodging process pool has a recorded baseline
+against the thread pool on every runner.
 
 The kernel bench times the structural hot paths both ways: the seed
 adjacency-set ``core_decomposition`` against the CSR fast path over a
@@ -22,10 +22,8 @@ CSR wins by >= 2x (the PR-3 acceptance floor).
 
 Shape assertions for the engine path: the warm engine answers the
 repeated workload at least 10x faster than direct execution, the cold
-engine is never worse than ~2x direct, and sharded/process results
-stay identical to unsharded/thread execution.  The process-beats-
-thread assertion only fires on a multi-core runner with the full
-pool -- on one core the process pool cannot win, it can only record.
+engine is never worse than ~2x direct, and process results stay
+identical to thread execution.
 
 Quick mode (``--quick`` or ``REPRO_BENCH_QUICK=1``, the CI smoke
 job) shrinks the query pool and relaxes the speedup floor so the whole
@@ -34,7 +32,7 @@ every path and emitting the timing artifacts.
 
 Artifacts: ``benchmarks/out/engine.json`` (the per-run snapshot) and
 ``BENCH_engine.json`` at the repo root -- the stable-schema perf
-*trajectory*, one entry per commit (kernel timings cold/warm, sharded
+*trajectory*, one entry per commit (kernel timings cold/warm, cold
 per backend), so future perf PRs have a baseline to beat.
 """
 
@@ -42,7 +40,6 @@ import json
 import os
 import time
 
-import repro.engine.sharding as _sharding
 from repro.algorithms.registry import get_cd_algorithm, get_cs_algorithm
 from repro.analysis.batch import pick_query_vertices
 from repro.core.kcore import core_decomposition
@@ -214,93 +211,11 @@ def test_truss_cache_retention(benchmark, dblp, quick):
     }, quick=quick)
 
 
-def test_worker_full_query(benchmark, dblp, quick):
-    """The whole-query acceptance shape: finishing a sharded ACQ query
-    through the whole-query worker pipeline (keyword enumeration on
-    the frozen CSR payload, postings fast path, vectorised peel
-    initialisation) beats the parent-verification path (enumeration
-    on mutable set adjacency in the parent) on the sharded DBLP
-    workload -- even serially, before any process parallelism."""
-    distinct, repeats = _pool_shape(quick)
-    pool = pick_query_vertices(dblp, K, distinct, seed=23) * repeats
-    finish = _sharding.worker_finish
-
-    def disabled_finish(*args, **kwargs):
-        """Force the pre-refactor parent-verification fallback."""
-        raise CExplorerError("worker finish disabled for baseline")
-
-    def run_variant(worker, backend="thread"):
-        explorer = CExplorer(workers=4, max_queue=len(pool) + 8,
-                             backend=backend)
-        explorer.add_graph("dblp", dblp, shards=4,
-                           partitioner="greedy")
-        _sharding.worker_finish = finish if worker else disabled_finish
-        try:
-            # Warm the structural caches (shard cores, payloads) so
-            # the timed passes compare the finishing phase, not
-            # first-query index builds both variants share.
-            explorer.search("acq", pool[0], k=K, use_cache=False)
-            start = time.perf_counter()
-            answers = [explorer.search("acq", q, k=K, use_cache=False)
-                       for q in pool]
-            seconds = time.perf_counter() - start
-            stats = {
-                "worker_full_query":
-                    explorer.engine.stats.get("worker_full_query"),
-                "full_query_fallbacks":
-                    explorer.engine.stats.get("full_query_fallbacks"),
-            }
-            return seconds, answers, stats
-        finally:
-            _sharding.worker_finish = finish
-            explorer.engine.shutdown()
-
-    def run():
-        parent_s, parent_out, _ = run_variant(worker=False)
-        worker_s, worker_out, stats = run_variant(worker=True)
-        process_s, process_out, _ = run_variant(worker=True,
-                                                backend="process")
-        assert parent_out == worker_out == process_out
-        return {
-            "parent_verification_seconds": round(parent_s, 6),
-            "worker_full_query_seconds": round(worker_s, 6),
-            "worker_full_query_process_seconds": round(process_s, 6),
-            "speedup": round(parent_s / worker_s, 2) if worker_s
-            else float("inf"),
-            "stats": stats,
-        }
-
-    doc = benchmark.pedantic(run, rounds=1, iterations=1)
-    # Every query of the worker variant ran the whole-query pipeline.
-    assert doc["stats"]["worker_full_query"] >= len(pool)
-    assert doc["stats"]["full_query_fallbacks"] == 0
-    # The acceptance floor: the worker pipeline beats parent
-    # verification.  The tiny quick pool mostly measures fixed
-    # overheads on a shared runner, so it only has to not lose badly.
-    if quick:
-        assert doc["speedup"] >= 0.7, doc
-    else:
-        assert doc["speedup"] > 1.0, doc
-    write_artifact("worker_full_query.json", json.dumps(doc, indent=2))
-    update_bench_trajectory("worker_full_query", {
-        "queries": len(pool),
-        "k": K,
-        "seconds": {
-            "parent_verification":
-                doc["parent_verification_seconds"],
-            "worker_full_query": doc["worker_full_query_seconds"],
-            "worker_full_query_process":
-                doc["worker_full_query_process_seconds"],
-        },
-        "speedup": doc["speedup"],
-    }, quick=quick)
-
-
 def test_payload_plane(benchmark, dblp, quick):
-    """The zero-copy payload transport on the sharded-cold path: every
-    query is preceded by invalidating the shard index entries, so each
-    fan-out must re-ship fresh per-shard CSR snapshots to the process
-    workers (the worker payload cache never hits).  Under the
+    """The zero-copy payload transport on the whole-query cold path:
+    every query is preceded by invalidating the graph's index entry,
+    so each query must ship a freshly frozen CSR snapshot to a process
+    worker (the worker payload cache never hits).  Under the
     ``pickle`` transport each ship copies and re-unpickles the whole
     payload in the worker; under ``shm`` the workers attach the
     parent's shared-memory segments zero-copy and the keyword sidecar
@@ -318,17 +233,11 @@ def test_payload_plane(benchmark, dblp, quick):
         explorer = CExplorer(workers=4, max_queue=len(pool) + 8,
                              backend="process")
         try:
-            # Two shards: per-shard payloads stay large enough that
-            # transport cost dominates the pool's fixed per-job
-            # scheduling floor, which both variants pay equally.
-            explorer.add_graph("dblp", dblp, shards=2,
-                               partitioner="greedy")
-            # Warm the parent-side structural caches (CL-tree, full
-            # payload) and spawn the pool once -- the timed pass
-            # compares the per-shard transport, not index builds and
-            # worker forks both variants share.
+            explorer.add_graph("dblp", dblp)
+            # Spawn the pool once -- the timed pass compares the
+            # payload transport, not the worker forks both variants
+            # share.
             explorer.search("acq", pool[0], k=K, use_cache=False)
-            shard_entries = explorer.indexes.shard_names("dblp")
 
             def ipc_total():
                 snap = explorer.engine.snapshot()
@@ -339,11 +248,10 @@ def test_payload_plane(benchmark, dblp, quick):
             start = time.perf_counter()
             answers = []
             for q in pool:
-                # Cold rounds: bump every shard entry's version so the
-                # next fan-out re-ships each shard payload instead of
-                # hitting the worker-side payload cache.
-                for entry in shard_entries:
-                    explorer.indexes.invalidate(entry)
+                # Cold rounds: bump the graph's version so the next
+                # query re-ships a fresh payload instead of hitting
+                # the worker-side payload cache.
+                explorer.indexes.invalidate("dblp")
                 answers.append(explorer.search("acq", q, k=K,
                                                use_cache=False))
             seconds = time.perf_counter() - start
@@ -375,7 +283,7 @@ def test_payload_plane(benchmark, dblp, quick):
     assert doc["attach_failures"] == 0, doc
     if doc["shm_available"]:
         # The acceptance floor: shared-memory transport collapses the
-        # per-shard ship cost.  Quick mode's tiny pool still shows the
+        # per-query ship cost.  Quick mode's tiny pool still shows the
         # collapse -- the cost scales with payload bytes, which quick
         # mode does not shrink per ship.
         floor = 2.0 if quick else 5.0
@@ -510,43 +418,36 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
         results["engine_warm_4w"] = time.perf_counter() - start
         explorer4.engine.shutdown()
 
-        # 4 shards on 4 workers, cold, once per execution backend:
-        # the partition-parallel fan-out path (per-shard certification
-        # + engine-level merge) drains the same pool; the thread pool
-        # shares the GIL, the process pool ships frozen CSR payloads
+        # 4 workers, cold, lazy index, futures submitted up front, once
+        # per execution backend: the thread pool shares the GIL, the
+        # process pool runs each whole query on a frozen CSR payload
         # and escapes it.  Results must agree exactly.
-        sharded_results = {}
+        backend_results = {}
         for backend in ("thread", "process"):
-            sharded = CExplorer(workers=4, max_queue=len(pool) + 1,
-                                backend=backend)
-            sharded.add_graph("dblp", dblp, shards=4,
-                              partitioner="greedy")
+            cold = CExplorer(workers=4, max_queue=len(pool) + 1,
+                             backend=backend)
+            cold.add_graph("dblp", dblp)
             start = time.perf_counter()
-            answers = [sharded.engine.search_sync("acq", q, k=K,
-                                                  timeout=60)
+            futures = [cold.engine.search("acq", q, k=K, timeout=60)
                        for q in pool]
-            results["engine_sharded_cold_4w_{}".format(backend)] = \
+            answers = [future.result(60) for future in futures]
+            results["engine_backend_cold_4w_{}".format(backend)] = \
                 time.perf_counter() - start
-            sharded_results[backend] = answers
-            if backend == "thread":
-                results["sharding"] = \
-                    sharded.engine.stats.snapshot().get("sharding", {})
-            else:
+            backend_results[backend] = answers
+            if backend == "process":
                 results["process_fallbacks"] = \
-                    sharded.engine.stats.get("process_fallbacks")
+                    cold.engine.stats.get("process_fallbacks")
                 results["index_build_fallbacks"] = \
-                    sharded.indexes.build_fallbacks
-            sharded.engine.shutdown()
-        assert sharded_results["thread"] == sharded_results["process"]
-        results["engine_sharded_cold_4w"] = \
-            results["engine_sharded_cold_4w_thread"]
+                    cold.indexes.build_fallbacks
+            cold.engine.shutdown()
+        assert backend_results["thread"] == backend_results["process"]
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     direct = results["direct"]
     warm = results["engine_warm_1w"]
     seconds = {key: val for key, val in results.items()
-               if key not in ("cache", "sharding", "process_fallbacks",
+               if key not in ("cache", "process_fallbacks",
                               "index_build_fallbacks")}
 
     # The acceptance shape: a warm cache beats recomputation -- >= 10x
@@ -561,15 +462,13 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
     # The warm pool served everything from cache.
     assert results["cache"]["hits"] >= len(pool)
     # No silent degradation: the process pass really ran in the pool
-    # (neither shard jobs nor index builds fell back in-process).
+    # (neither query jobs nor index builds fell back in-process).
     assert results["process_fallbacks"] == 0, results
     assert results["index_build_fallbacks"] == 0, results
-    # On a genuinely parallel runner with the full pool, escaping the
-    # GIL must pay on the cold sharded pass; a 1-2 core runner (or the
-    # tiny quick pool) can only record the numbers.
-    if not quick and (os.cpu_count() or 1) >= 4:
-        assert results["engine_sharded_cold_4w_process"] < \
-            results["engine_sharded_cold_4w_thread"], results
+    # The per-backend cold pass only records the numbers: on this
+    # 2,000-author graph each process worker builds its own core
+    # numbers and CL-tree, which costs more than the thread pool's one
+    # shared build plus the whole pool of queries.
 
     n = len(pool)
     distinct, repeats = _pool_shape(quick)
@@ -585,7 +484,6 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
                            for key, val in seconds.items()},
         "speedup_warm_vs_direct": round(direct / warm, 1),
         "cache": results["cache"],
-        "sharding": results["sharding"],
     }
     write_artifact("engine.json", json.dumps(doc, indent=2))
     update_bench_trajectory("engine", {
@@ -593,9 +491,9 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
         "k": K,
         "seconds": doc["seconds"],
         "speedup_warm_vs_direct": doc["speedup_warm_vs_direct"],
-        "sharded_cold_by_backend": {
-            "thread": doc["seconds"]["engine_sharded_cold_4w_thread"],
-            "process": doc["seconds"]["engine_sharded_cold_4w_process"],
+        "cold_by_backend": {
+            "thread": doc["seconds"]["engine_backend_cold_4w_thread"],
+            "process": doc["seconds"]["engine_backend_cold_4w_process"],
         },
     }, quick=quick)
 
@@ -713,20 +611,24 @@ def test_concurrent_serving(benchmark, dblp, quick):
 
 def test_resilience_under_faults(benchmark, dblp, quick):
     """The fault-tolerance acceptance shape: under a seeded 5%
-    worker-kill plan on the sharded fan-out, the retry machinery
+    worker-kill plan on whole-query process jobs, the retry machinery
     absorbs every injected kill -- the success rate stays at 1.0,
     every answer is byte-identical to the fault-free run, and the
     tail (p99) latency pays only the retry backoff, not a query loss.
 
-    Both passes drain the same cold pool through a 4-shard engine;
-    the faulted pass carries ``kill:shard@0.05`` (every 20th shard
-    job dies before executing and is retried alone with backoff).
+    Both passes drain the same cold pool through a process-backend
+    engine; the faulted pass carries ``kill:full_query@0.05`` (every
+    20th query job dies before executing and is retried with
+    backoff).  A query is one fault-injection site, so the pool is
+    four times the shared pool shape to keep the number of sites the
+    plan draws for.
     """
     from repro.engine.faults import FaultPlan
 
     distinct, repeats = _pool_shape(quick)
-    pool = pick_query_vertices(dblp, K, distinct, seed=53) * repeats
-    plan_spec = "seed=97;kill:shard@0.05"
+    pool = pick_query_vertices(dblp, K, distinct, seed=53) \
+        * (repeats * 4)
+    plan_spec = "seed=97;kill:full_query@0.05"
 
     def canon(communities):
         return json.dumps([c.to_dict() for c in communities],
@@ -740,13 +642,12 @@ def test_resilience_under_faults(benchmark, dblp, quick):
     def run_variant(spec):
         faults = FaultPlan.from_spec(spec) if spec else None
         explorer = CExplorer(workers=4, max_queue=len(pool) + 8,
-                             faults=faults)
-        explorer.add_graph("dblp", dblp, shards=4,
-                           partitioner="greedy")
+                             backend="process", faults=faults)
+        explorer.add_graph("dblp", dblp)
         answers, latencies, failures = [], [], 0
         try:
-            # Warm the structural caches so both variants time the
-            # query path, not first-query index builds.
+            # Warm the worker caches so both variants time the query
+            # path, not first-query index builds.
             explorer.search("acq", pool[0], k=K, use_cache=False)
             for q in pool:
                 start = time.perf_counter()
@@ -785,7 +686,7 @@ def test_resilience_under_faults(benchmark, dblp, quick):
 
     doc = benchmark.pedantic(run, rounds=1, iterations=1)
     # The acceptance floor: at a 5% kill rate every query survives
-    # (a loss needs three consecutive kills of the same shard job,
+    # (a loss needs three consecutive kills of the same query job,
     # p ~ 1e-4) and survivors are byte-identical to the clean run.
     assert doc["success_rate"] == 1.0, doc
     assert doc["identical_rate"] == 1.0, doc

@@ -23,7 +23,8 @@ compute, which hold their meaning across pool sizes and runners:
   both should be 1.0);
 * ``payload_plane.shard_ipc_collapse`` -- how many times the pickled
   transport's ``shard_ipc`` time exceeds the zero-copy shared-memory
-  transport's on the same sharded cold workload (higher is better).
+  transport's on the same cold whole-query workload (higher is
+  better).
 
 Usage: ``python scripts/check_bench_regression.py [--threshold 0.2]``
 (run after the bench has written the current commit's entry).  Exits

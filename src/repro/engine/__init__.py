@@ -10,8 +10,8 @@ The seed reproduction ran every ``/api/search`` inline on its HTTP
 handler thread with no result reuse and ad-hoc lazy index builds --
 fine for one user, hopeless for the ROADMAP's "heavy traffic from
 millions of users".  This package is the execution layer between the
-server and the algorithms; every later scaling step (sharded graphs,
-an async server, a persistent cache) plugs into it.
+server and the algorithms; every later scaling step (an async
+server, a persistent cache) plugs into it.
 
 The modules
 ===========
@@ -51,25 +51,14 @@ The modules
 
 ``stats``
     :class:`~repro.engine.stats.EngineStats`: latency histograms
-    (p50/p95) and throughput counters behind ``/api/metrics``, plus
-    per-shard fan-out latency and skew.
-
-``sharding``
-    Partition-parallel execution for large graphs:
-    :class:`~repro.engine.sharding.GraphPartitioner` (deterministic
-    hash or greedy edge-cut placement),
-    :class:`~repro.engine.sharding.ShardedIndexManager` (one versioned
-    CL-tree/k-core/truss index per shard, maintenance routed to the
-    owning shard only), and the exact fan-out/merge query paths behind
-    :meth:`~repro.engine.executor.QueryEngine.search_sharded` -- the
-    k-core family merges certified vertices, the truss family merges
-    certified edges and peels only the uncertain/cut remainder.
+    (p50/p95) and throughput counters behind ``/api/metrics``.
 
 ``backends``
     Execution backends.  :class:`~repro.engine.backends.ProcessBackend`
-    plus the picklable job functions that let shard subqueries and
-    CL-tree builds run in a ``multiprocessing`` pool over frozen CSR
-    snapshots (:class:`~repro.graph.frozen.FrozenGraph`).
+    plus the picklable job functions that let whole queries,
+    per-component detections and CL-tree builds run in a
+    ``multiprocessing`` pool over frozen CSR snapshots
+    (:class:`~repro.graph.frozen.FrozenGraph`).
 
 Choosing a backend
 ==================
@@ -78,51 +67,20 @@ Choosing a backend
 in-process: shared memory, no serialisation, lowest latency -- the
 right choice for small graphs, warm-cache interactive traffic, and
 single-core hosts, and exactly the pre-backend behaviour.
-``backend="process"`` ships CPU-bound structural work (per-shard
-certification scans, core decompositions, CL-tree builds) to worker
-processes fed by pickled :class:`~repro.graph.frozen.FrozenGraph`
-snapshots, dodging the GIL where the ROADMAP says it hurts most --
-pick it for sharded graphs on multi-core hosts where cold structural
-queries and index builds dominate.  Results are identical either way
+``backend="process"`` ships CPU-bound work (whole searches and
+detections, core decompositions, CL-tree builds) to worker processes
+fed by :class:`~repro.graph.frozen.FrozenGraph` snapshots, dodging the
+GIL -- pick it on multi-core hosts where cold structural queries and
+index builds dominate.  Results are identical either way
 (a property-tested invariant); the process backend transparently
 falls back in-process on any pool failure, and its overheads are
 observable as ``snapshot_build`` / ``shard_ipc`` /
 ``index_build_ipc`` latency ops in ``/api/metrics``::
 
     explorer = CExplorer(workers=4, backend="process")
-    explorer.add_graph("dblp", generate_dblp_graph(),
-                       shards=4, partitioner="greedy")
-    explorer.search("acq", "Jim Gray", k=4)   # fan-out in the pool
+    explorer.add_graph("dblp", generate_dblp_graph())
+    explorer.search("acq", "Jim Gray", k=4)   # runs in a worker
     explorer.engine.snapshot()["backend"]     # "process"
-
-Sharded graphs
-==============
-
-A graph registered with ``shards > 1`` is partitioned once; each
-shard gets its own versioned index entry, and shardable searches
-(``global`` and the ACQ family) fan their structural phase out over
-the worker pool -- each shard scans only its own vertices, certifying
-survivors with its shard-local core numbers -- then the engine merges,
-re-verifies boundary-crossing vertices, and caches the merged result
-under the same key the unsharded path uses.  ``shards=1`` keeps the
-exact pre-sharding execution path, and sharded results are identical
-to unsharded ones by construction (a tested invariant)::
-
-    from repro import CExplorer
-    from repro.datasets import generate_dblp_graph
-
-    explorer = CExplorer(workers=4)
-    explorer.add_graph("dblp", generate_dblp_graph(),
-                       shards=4, partitioner="greedy")
-
-    explorer.search("acq", "Jim Gray", k=4)   # fans out over 4 shards
-    explorer.engine.snapshot()["partitions"]  # balance, cut, versions
-    explorer.engine.stats.snapshot()["sharding"]   # per-shard latency
-
-    maintainer = explorer.maintainer()
-    maintainer.insert_edge(u, v)    # bumps the owning shard's index
-                                    # version; other shards keep their
-                                    # cached decompositions
 
 Quickstart
 ==========
@@ -162,13 +120,6 @@ from repro.engine.retry import (
     ResiliencePlane,
     RetryPolicy,
 )
-from repro.engine.sharding import (
-    GraphPartitioner,
-    Partition,
-    ShardedIndexManager,
-    ShardMergeError,
-    ShardPayload,
-)
 from repro.engine.stats import EngineStats, LatencyHistogram
 from repro.engine.tracing import QueryTrace, TraceRecorder
 
@@ -179,11 +130,9 @@ __all__ = [
     "EngineStats",
     "FaultPlan",
     "FaultRule",
-    "GraphPartitioner",
     "IndexManager",
     "IndexSnapshot",
     "LatencyHistogram",
-    "Partition",
     "ProcessBackend",
     "ProcessBackendError",
     "QueryEngine",
@@ -192,9 +141,6 @@ __all__ = [
     "ResiliencePlane",
     "ResultCache",
     "RetryPolicy",
-    "ShardMergeError",
-    "ShardPayload",
-    "ShardedIndexManager",
     "SubproblemMemo",
     "TraceRecorder",
     "plan_search",

@@ -4,39 +4,37 @@ The :class:`~repro.engine.executor.QueryEngine` always owns a bounded
 *thread* pool -- admission control, deadlines and cancellation live
 there, and for I/O-light interactive traffic (cache hits, planning,
 small searches) threads are the right tool.  But the CPU-heavy
-structural kernels (core decomposition, per-shard certification,
-CL-tree builds) serialise behind the GIL: a thread fan-out buys
-concurrency, not parallelism.  This module adds the **process
-backend** that the ROADMAP's "process-pool workers are now per-shard"
-follow-on asks for:
+structural kernels (core decomposition, CL-tree builds, whole
+searches) serialise behind the GIL: a thread pool buys concurrency,
+not parallelism.  This module adds the **process backend**:
 
 * :class:`ProcessBackend` -- a lazily started
   ``concurrent.futures.ProcessPoolExecutor`` (``fork`` context where
   available, so workers start fast and inherit the interpreter state)
-  with per-job child-side timing, so fan-out skew stats stay exact and
-  the parent can report IPC overhead (round-trip minus child compute)
-  separately;
+  with per-job child-side timing, so the parent can report IPC
+  overhead (round-trip minus child compute) separately;
 * module-level **job functions** -- process jobs must be picklable,
-  so the work units ship as top-level functions fed by pickled
+  so the work units ship as top-level functions fed by
   :class:`~repro.graph.frozen.FrozenGraph` payloads:
-  :func:`shard_candidates_job` (one shard's certify/drop/classify
-  scan, the sharded query fan-out) and :func:`build_index_job` (a
-  full core + CL-tree build, the shard-parallel index construction);
-* a small **worker-side payload cache** keyed by
-  ``(graph, shard, version)`` -- repeated queries against an unchanged
-  shard skip both the unpickle and the shard-local core decomposition
-  in the worker.
+  :func:`shard_full_query_job` (one whole community search),
+  :func:`batch_full_query_job` (a group of them),
+  :func:`component_detect_job` (a detection, or one component's
+  slice of it) and :func:`build_index_job` (a core + CL-tree build);
+* a small **worker-side payload cache** keyed by the payload's
+  ``(manager epoch, graph, version)`` identity -- repeated queries
+  against an unchanged graph skip both the payload resolution and the
+  derived decompositions in the worker.
 
 Choosing a backend
 ==================
 
 ``backend="thread"`` (default): lowest latency, shared memory, exact
 pre-PR behaviour.  Right for small graphs, cache-heavy interactive
-traffic, or single-core hosts.  ``backend="process"``: per-shard
-subqueries and CL-tree builds run in separate processes on frozen CSR
-snapshots -- real parallelism for CPU-bound structural work on
-multi-core hosts, at the cost of payload shipping (measured and
-reported as ``snapshot_build`` / ``shard_ipc`` in ``/api/metrics``).
+traffic, or single-core hosts.  ``backend="process"``: whole queries
+and CL-tree builds run in separate processes on frozen CSR snapshots
+-- real parallelism for CPU-bound structural work on multi-core
+hosts, at the cost of payload shipping (measured and reported as
+``snapshot_build`` / ``shard_ipc`` in ``/api/metrics``).
 Results are identical either way (a tested invariant); every process
 failure falls back to in-process execution rather than failing the
 query.
@@ -50,7 +48,7 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.cltree import build_cltree
-from repro.core.kcore import connected_k_core, core_decomposition
+from repro.core.kcore import core_decomposition
 from repro.core.ktruss import truss_decomposition
 from repro.engine import faults as fault_injection
 from repro.engine import payloads as payload_plane
@@ -64,9 +62,9 @@ from repro.util.errors import (
 
 BACKENDS = ("thread", "process")
 
-# Worker-side cache: payload key (manager epoch, name, shard, version)
-# -> (old_ids, global_degree, shard-local core numbers).  Bounded:
-# version churn on long-lived workers must not grow it without limit.
+# Worker-side cache: payload key -> the snapshot plus its lazily built
+# derived structures (see _full_graph_entry).  Bounded: version churn
+# on long-lived workers must not grow it without limit.
 _WORKER_CACHE = {}
 _WORKER_CACHE_MAX = 64
 
@@ -128,8 +126,8 @@ def _timed_job(fn, args, fault=None, deadline=None):
     ``spans`` is the wire-format list of tracing spans the job
     recorded (index thaw, lazy decomposition builds, algorithm run --
     see :func:`~repro.engine.tracing.collect_worker_spans`); the
-    parent grafts them under the query's per-shard ``worker_execute``
-    span.  ``fault`` carries worker-side fault actions the parent's
+    parent grafts them under the job's ``worker_execute`` span.
+    ``fault`` carries worker-side fault actions the parent's
     :class:`~repro.engine.faults.FaultPlan` drew for this job;
     ``deadline`` is the caller's remaining wall-clock deadline, made
     visible to the job through :func:`check_deadline`.
@@ -168,84 +166,6 @@ def _loads_payload(key, blob):
         raise PayloadCorruptionError(
             "payload {!r} failed to unpickle: {}".format(key, exc),
             key=key) from exc
-
-
-def shard_candidates_job(key, blob, k):
-    """One shard's certify/drop/classify scan, in a worker process.
-
-    ``blob`` is the pickled ``(FrozenGraph, old_ids, global_degree)``
-    payload built by
-    :meth:`~repro.engine.sharding.ShardedIndexManager.shard_payload`;
-    ``key`` is its ``(manager epoch, graph, shard, version)`` identity,
-    so an unchanged shard is unpickled (and its shard-local core
-    numbers computed) once per worker, not once per query.  Returns plain
-    ``(certified, uncertain, dropped)`` containers in *global* vertex
-    ids -- the merge step rebuilds its
-    :class:`~repro.engine.sharding.ShardReport` from them.
-    """
-    check_deadline()
-    entry = _WORKER_CACHE.get(key)
-    if entry is None:
-        with tracing.span("index_thaw"):
-            frozen, old_ids, global_degree = _loads_payload(key, blob)
-        with tracing.span("core_build"):
-            entry = (old_ids, global_degree,
-                     core_decomposition(frozen))
-        if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[key] = entry
-    old_ids, global_degree, local_core = entry
-    certified = []
-    uncertain = {}
-    dropped = []
-    for new, old in enumerate(old_ids):
-        if local_core[new] >= k:
-            certified.append(old)
-            continue
-        degree = global_degree[new]
-        if degree < k:
-            dropped.append(old)
-        else:
-            uncertain[old] = degree
-    return certified, uncertain, dropped
-
-
-def shard_truss_job(key, blob, k):
-    """One shard's truss certify/classify scan, in a worker process.
-
-    ``blob`` is the same pre-pickled ``(FrozenGraph, old_ids,
-    global_degree)`` payload the core path ships; the worker runs the
-    CSR support-counting kernel plus a truss decomposition over the
-    frozen shard (cached per payload identity, so an unchanged shard
-    pays once per worker).  Returns ``(certified, uncertain)`` edge
-    lists in *global* vertex ids: ``certified`` edges have shard-local
-    truss >= k (hence global truss >= k by subgraph monotonicity);
-    ``uncertain`` are the shard's remaining edges, which the engine's
-    merge peels with exact global supports.
-    """
-    check_deadline()
-    cache_key = (key, "truss")
-    entry = _WORKER_CACHE.get(cache_key)
-    if entry is None:
-        with tracing.span("index_thaw"):
-            frozen, old_ids, _ = _loads_payload(key, blob)
-        with tracing.span("truss_build"):
-            entry = (old_ids, truss_decomposition(frozen),
-                     list(frozen.edges()))
-        if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[cache_key] = entry
-    old_ids, local_truss, local_edges = entry
-    certified = []
-    uncertain = []
-    for u, v in local_edges:
-        a, b = old_ids[u], old_ids[v]
-        edge = (a, b) if a < b else (b, a)
-        if local_truss.get((u, v), 0) >= k:
-            certified.append(edge)
-        else:
-            uncertain.append(edge)
-    return certified, uncertain
 
 
 def _full_graph_entry(key, payload):
@@ -309,59 +229,19 @@ def _entry_truss(entry):
     return truss
 
 
-class FixedBaseIndex:
-    """Index shim answering the one ``community_vertices(q, k)``
-    probe the ACQ family makes with a precomputed structural base.
-
-    Used on both sides of the pipeline: the parent hands it the
-    sharded-merged component when finishing an ACQ query in-process,
-    and :func:`shard_full_query_job` hands it the base the parent's
-    cross-shard merge shipped -- either way the keyword enumeration
-    runs on exactly the base the CL-tree would have computed.
-    ``base=None`` encodes "no structural community exists".
-    """
-
-    __slots__ = ("graph", "_q", "_k", "_base")
-
-    def __init__(self, graph, q, k, base):
-        self.graph = graph
-        self._q = q
-        self._k = k
-        self._base = base
-
-    def community_vertices(self, q, k):
-        """The fixed structural base for the planned ``(q, k)``."""
-        if q == self._q and k == self._k:
-            return set(self._base) if self._base is not None else None
-        # Defensive: an unexpected probe falls back to the exact
-        # definition rather than answering for the wrong query.
-        return connected_k_core(self.graph, q, k)
-
-
-def shard_full_query_job(key, payload, algorithm, q, k, keywords=None,
-                         base=None):
+def shard_full_query_job(key, payload, algorithm, q, k, keywords=None):
     """Run one **whole** community search in a worker process.
 
     The worker executes the complete query -- structural phase,
     keyword enumeration, verification -- against the cached frozen
-    whole-graph snapshot, instead of shipping candidate sets back to
-    the parent.  ``base`` optionally carries the structural phase the
-    parent's cross-shard merge already reconciled:
-
-    * ``None`` -- compute everything in the worker (the unsharded
-      whole-query offload; derived structures are cached per payload
-      identity);
-    * ``("component", vertices)`` -- the merged connected k-core
-      component (the k-core family's structural base);
-    * ``("edges", edges)`` -- the merged global k-truss edge set (the
-      triangle family's structural base).
+    whole-graph snapshot; derived structures (core numbers, CL-tree,
+    truss map) are cached per payload identity.
 
     Returns the communities in :meth:`~repro.core.community.Community.
     to_wire` form; the parent rebinds them to its live graph object.
     Results are byte-identical to parent-side execution (the frozen
     equivalence the protocol suite proves).
     """
-    from repro.algorithms.attributed_truss import attributed_truss_search
     from repro.algorithms.global_search import global_search
     from repro.algorithms.registry import get_cs_algorithm
     from repro.algorithms.truss_search import truss_community_search
@@ -371,14 +251,10 @@ def shard_full_query_job(key, payload, algorithm, q, k, keywords=None,
     entry = _full_graph_entry(key, payload)
     frozen = entry["frozen"]
     q0 = q if isinstance(q, int) else tuple(q)[0]
-    base_kind, base_value = base if base is not None else (None, None)
     if algorithm in ("acq", "acq-inc-s", "acq-inc-t"):
         variant = "dec" if algorithm == "acq" \
             else algorithm[len("acq-"):]
-        if base_kind == "component":
-            index = FixedBaseIndex(frozen, q0, k, base_value)
-        else:
-            index = _entry_cltree(entry)
+        index = _entry_cltree(entry)
         with tracing.span("algorithm", algorithm=algorithm):
             result = acq_search(frozen, q, k, keywords=keywords,
                                 algorithm=variant, index=index)
@@ -387,19 +263,12 @@ def shard_full_query_job(key, payload, algorithm, q, k, keywords=None,
         with tracing.span("algorithm", algorithm=algorithm):
             result = global_search(frozen, q0, k, core=core)
     elif algorithm == "k-truss":
-        truss = ({e: k for e in base_value}
-                 if base_kind == "edges" else _entry_truss(entry))
+        truss = _entry_truss(entry)
         with tracing.span("algorithm", algorithm=algorithm):
             result = truss_community_search(frozen, q0, k, truss=truss)
-    elif algorithm == "atc":
-        base_edges = base_value if base_kind == "edges" else None
-        with tracing.span("algorithm", algorithm=algorithm):
-            result = attributed_truss_search(frozen, q, k,
-                                             keywords=keywords,
-                                             base_edges=base_edges)
     else:
         # Every other registered CS algorithm takes the plain
-        # protocol call (codicil, local, steiner, plug-ins).
+        # protocol call (atc, codicil, local, steiner, plug-ins).
         with tracing.span("algorithm", algorithm=algorithm):
             result = get_cs_algorithm(algorithm)(frozen, q, k,
                                                  keywords=keywords)

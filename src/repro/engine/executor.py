@@ -22,24 +22,23 @@ algorithms (the Polynesia argument in PAPERS.md):
   :class:`~repro.engine.cache.SubproblemMemo`, wired to the
   :class:`~repro.engine.index_manager.IndexManager` so maintenance
   updates selectively evict stale entries;
-* **sharded fan-out** -- :meth:`QueryEngine.map_shards` pushes
-  per-shard subqueries onto the same pool with *work stealing*: the
-  coordinating thread claims any subjob no worker has started (via the
-  future's run-once CAS) and executes it inline, so a fan-out makes
-  progress even when every worker is busy -- including when the
-  coordinator *is* the only worker (no nested-submission deadlock).
-  :meth:`QueryEngine.search_sharded` is the full partition-parallel
-  search path (see :mod:`repro.engine.sharding`);
+* **fan-out** -- :meth:`QueryEngine.map_shards` pushes subjobs (the
+  per-component slices of a detection) onto the same pool with *work
+  stealing*: the coordinating thread claims any subjob no worker has
+  started (via the future's run-once CAS) and executes it inline, so a
+  fan-out makes progress even when every worker is busy -- including
+  when the coordinator *is* the only worker (no nested-submission
+  deadlock);
 * an **execution backend** (``backend="thread" | "process"``, see
   :mod:`repro.engine.backends`) -- with the process backend,
-  :meth:`QueryEngine.map_shard_jobs` ships per-shard subqueries (and
-  the index manager's CL-tree builds) to a ``multiprocessing`` pool
-  as pickled frozen-graph payloads, dodging the GIL for CPU-bound
+  :meth:`QueryEngine.map_shard_jobs` ships whole queries, detections
+  (and the index manager's CL-tree builds) to a ``multiprocessing``
+  pool over frozen-graph payloads, dodging the GIL for CPU-bound
   structural work; any pool failure falls back to in-process
   execution with identical results;
 * :class:`~repro.engine.stats.EngineStats` latency histograms behind
-  ``/api/metrics``, including per-shard fan-out latency/skew and the
-  process backend's ``snapshot_build`` / ``shard_ipc`` overheads.
+  ``/api/metrics``, including the process backend's
+  ``snapshot_build`` / ``shard_ipc`` overheads.
 
 Synchronous callers (library users, the batch harness) use
 :meth:`QueryEngine.execute`; the server uses :meth:`submit` /
@@ -286,9 +285,7 @@ class QueryEngine:
         self._last_detect_parallelism = 0
         if self.backend == "process":
             self._process = ProcessBackend(workers)
-            # Index builds (including every per-shard CL-tree) route
-            # through the pool: an upload of a sharded graph builds
-            # all shard trees genuinely in parallel.
+            # Index builds route through the pool too.
             self.indexes.build_executor = self._build_in_process
         self.indexes.subscribe(self._on_index_event)
 
@@ -508,31 +505,29 @@ class QueryEngine:
         return self.explorer
 
     # ------------------------------------------------------------------
-    # sharded fan-out
+    # fan-out
     # ------------------------------------------------------------------
-    def map_shards(self, fns, graph=None, op="shard", resilient=True):
-        """Run per-shard callables on the pool with work stealing.
+    def map_shards(self, fns, op="job", resilient=True):
+        """Run zero-argument callables on the pool with work stealing.
 
         Every ``fn`` is submitted as a pool job; the calling thread
         then walks its futures in order and *claims* any job no worker
         has started yet (the future's ``set_running`` CAS), executing
         it inline.  Free workers therefore supply parallelism, but the
         fan-out never waits on a saturated pool -- in the worst case
-        the coordinator runs every shard itself, which is exactly the
-        unsharded serial cost.  Jobs rejected by admission control run
-        inline immediately (internal subqueries must not 429).
+        the coordinator runs every subjob itself, which is exactly the
+        serial cost.  Jobs rejected by admission control run inline
+        immediately (internal subqueries must not 429).
 
-        Returns ``(results, seconds)`` in submission order, where
-        ``seconds[i]`` is shard ``i``'s execution time.  ``graph``
-        names the graph being fanned over; when given, the per-shard
-        durations are recorded as that graph's fan-out/skew stats.
+        Returns the results in submission order.
 
         With ``resilient=True`` (default) each callable is wrapped in
         the per-job retry/fault policy for ``op``: a transient failure
-        (injected kill, corrupt payload) retries that shard alone with
-        backoff before the fan-out fails -- blast-radius isolation for
-        the thread substrate.  A shard that exhausts its retries (or
-        raises a non-retryable error) still propagates to the caller.
+        (injected kill, corrupt payload) retries that subjob alone
+        with backoff before the fan-out fails -- blast-radius isolation
+        for the thread substrate.  A subjob that exhausts its retries
+        (or raises a non-retryable error) still propagates to the
+        caller.
         """
         if resilient:
             deadline = self._fanout_deadline()
@@ -547,7 +542,6 @@ class QueryEngine:
             except EngineBusyError:
                 futures.append((None, wrapped))
         results = []
-        seconds = []
         for i, (future, wrapped) in enumerate(futures):
             try:
                 if future is None or future.set_running():
@@ -569,7 +563,7 @@ class QueryEngine:
                     self.stats.observe(op, elapsed)
                 else:
                     elapsed, value = future.result(self.default_timeout)
-                    # The shard ran on another worker thread (outside
+                    # The subjob ran on another worker thread (outside
                     # this trace's context); record its measured span
                     # from here so the fan-out is still attributable.
                     tracing.add_span("worker_execute", elapsed,
@@ -583,10 +577,7 @@ class QueryEngine:
                         later.cancel()
                 raise
             results.append(value)
-            seconds.append(elapsed)
-        if graph is not None:
-            self.stats.observe_fanout(graph, seconds)
-        return results, seconds
+        return results
 
     @staticmethod
     def _timed(fn):
@@ -597,9 +588,9 @@ class QueryEngine:
             return time.perf_counter() - start, value
         return run
 
-    def map_shard_jobs(self, jobs, graph=None, op="shard"):
-        """Run picklable ``(fn, args)`` per-shard jobs on the process
-        backend; the GIL-free counterpart of :meth:`map_shards`.
+    def map_shard_jobs(self, jobs, op="job"):
+        """Run picklable ``(fn, args)`` jobs on the process backend;
+        the GIL-free counterpart of :meth:`map_shards`.
 
         The fault-tolerant fan-out.  The substrate is chosen by the
         resilience plane's degradation ladder (``process`` ->
@@ -612,9 +603,8 @@ class QueryEngine:
         worker for cooperative self-cancellation), a straggler past
         p95 x alpha gets one hedged duplicate, an unpicklable job runs
         inline without disturbing siblings, and a corrupt payload is
-        quarantined.  Per-shard child compute times feed the same
-        fan-out/skew stats as the thread path; transport overhead is
-        recorded under the ``shard_ipc`` latency op.
+        quarantined.  Child compute time is recorded under ``op``,
+        transport overhead under the ``shard_ipc`` latency op.
         """
         jobs = list(jobs)
         deadline = self._fanout_deadline()
@@ -630,8 +620,8 @@ class QueryEngine:
             level, _ = self.resilience.substrate("thread")
         if level == "process":
             try:
-                results = self._map_jobs_process(jobs, faults, graph,
-                                                 op, deadline)
+                results = self._map_jobs_process(jobs, faults, op,
+                                                 deadline)
             except ProcessBackendError:
                 self.stats.count("process_fallbacks")
                 self.resilience.record("process", False)
@@ -639,11 +629,11 @@ class QueryEngine:
             else:
                 self.resilience.record("process", True)
                 return results
-        return self._map_jobs_fallback(jobs, faults, graph, op,
-                                       deadline, level)
+        return self._map_jobs_fallback(jobs, faults, op, deadline,
+                                       level)
 
     # -- the process substrate ------------------------------------------
-    def _map_jobs_process(self, jobs, faults, graph, op, deadline):
+    def _map_jobs_process(self, jobs, faults, op, deadline):
         pool = self._process
         policy = self.resilience.policy(op)
         trace = tracing.current_trace()
@@ -672,7 +662,6 @@ class QueryEngine:
                         _box.append(time.perf_counter()))
             submitted.append((time.perf_counter(), future, done_at))
         results = []
-        child_seconds = []
         try:
             for i, (started, future, done_at) in enumerate(submitted):
                 fn, args = jobs[i]
@@ -719,7 +708,6 @@ class QueryEngine:
                     trace.add_span("shard_ipc", ipc + thaw,
                                    tags={"shard": i})
                 results.append(value)
-                child_seconds.append(child)
         except BaseException:
             # Don't leave the rest of the fan-out running for nobody:
             # cancel what has not started (running jobs self-cancel
@@ -728,8 +716,6 @@ class QueryEngine:
                 if later is not None:
                     later.cancel()
             raise
-        if graph is not None:
-            self.stats.observe_fanout(graph, child_seconds)
         return results
 
     def _collect_with_retries(self, pool, future, fn, args, op, index,
@@ -816,8 +802,7 @@ class QueryEngine:
         return pool.job_result(winner, self._remaining(deadline))
 
     # -- the thread / inline substrates ---------------------------------
-    def _map_jobs_fallback(self, jobs, faults, graph, op, deadline,
-                           level):
+    def _map_jobs_fallback(self, jobs, faults, op, deadline, level):
         """Run fan-out jobs in-process: through the work-stealing
         thread fan-out normally, serially on the coordinating thread
         when the thread breaker is open (the ladder's floor)."""
@@ -825,7 +810,6 @@ class QueryEngine:
             # One job (the queue round-trip buys nothing) or inline
             # degradation: run on the calling thread, keep the stats.
             results = []
-            seconds = []
             for i, (fn, args) in enumerate(jobs):
                 call = self._resilient_call(fn, args, op, i, deadline,
                                             substrate=level,
@@ -834,18 +818,13 @@ class QueryEngine:
                 with tracing.span("worker_execute", shard=i,
                                   backend="inline"):
                     results.append(call())
-                elapsed = time.perf_counter() - start
-                seconds.append(elapsed)
-                self.stats.observe(op, elapsed)
-            if graph is not None and len(jobs) > 1:
-                self.stats.observe_fanout(graph, seconds)
+                self.stats.observe(op, time.perf_counter() - start)
             return results
         fns = [self._resilient_call(fn, args, op, i, deadline,
                                     substrate="thread",
                                     actions=faults[i])
                for i, (fn, args) in enumerate(jobs)]
-        return self.map_shards(fns, graph=graph, op=op,
-                               resilient=False)[0]
+        return self.map_shards(fns, op=op, resilient=False)
 
     #: sentinel: "no pre-drawn actions -- draw at wrap time"
     _DRAW = object()
@@ -1027,15 +1006,6 @@ class QueryEngine:
             max(total - freeze_seconds - child_seconds, 0.0))
         return core, cltree
 
-    def search_sharded(self, name, algorithm, q, k, keywords=None):
-        """Partition-parallel execution of one shardable search:
-        fan per-shard structural subqueries out over the pool, merge
-        and re-verify at the engine layer.  Results are identical to
-        unsharded execution (see :mod:`repro.engine.sharding`)."""
-        from repro.engine.sharding import sharded_search
-        return sharded_search(self, name, algorithm, q, k,
-                              keywords=keywords)
-
     # ------------------------------------------------------------------
     # whole-query worker execution
     # ------------------------------------------------------------------
@@ -1078,18 +1048,12 @@ class QueryEngine:
             else payload.frozen
         return payload, arg
 
-    def search_full_query(self, name, algorithm, q, k, keywords=None,
-                          base=None):
+    def search_full_query(self, name, algorithm, q, k, keywords=None):
         """Run one whole community search against the cached frozen
         payload of graph ``name`` -- in a worker process under the
         process backend, in-process (same pipeline, same results)
-        otherwise.
-
-        ``base`` optionally carries a structural phase the sharded
-        merge already reconciled (see :func:`~repro.engine.backends.
-        shard_full_query_job`).  Returns live
-        :class:`~repro.core.community.Community` objects bound to the
-        registered graph.
+        otherwise.  Returns live :class:`~repro.core.community.
+        Community` objects bound to the registered graph.
         """
         from repro.engine.backends import shard_full_query_job
 
@@ -1097,8 +1061,7 @@ class QueryEngine:
             payload, arg = self._full_payload_job_arg(name)
             return self.map_shard_jobs(
                 [(shard_full_query_job,
-                  (payload.key, arg, algorithm, q, k, keywords,
-                   base))],
+                  (payload.key, arg, algorithm, q, k, keywords))],
                 op="full_query")
         wires = self._with_fresh_payload_retry(run)
         self.stats.count("worker_full_query")
@@ -1202,22 +1165,13 @@ class QueryEngine:
         ``affected`` scopes eviction for the minimum-degree families,
         ``truss_affected`` (reported by an attached truss maintainer)
         for the triangle families; either being ``None`` makes its
-        families' eviction conservative.  Memo eviction is
-        version-aware: truss intermediates are keyed on (and checked
-        against) the independent ``truss_version``, so they survive
-        events that only moved the CL-tree/k-core index.
+        families' eviction conservative.  Memo entries keyed at an
+        older version go (all of them when ``version`` is ``None``:
+        the graph was unregistered).
         """
         self.cache.invalidate(name, affected=affected,
                               truss_affected=truss_affected)
-        if version is None:
-            self.memo.invalidate(name)
-            return
-        try:
-            truss_version = self.indexes.truss_version(name)
-        except CExplorerError:
-            truss_version = None
-        self.memo.invalidate(name, version=version,
-                             truss_version=truss_version)
+        self.memo.invalidate(name, version=version)
 
     def _run_job(self, job):
         """Claim and execute one admitted job (called from the
@@ -1319,21 +1273,6 @@ class QueryEngine:
             "payloads": payload_plane.plane_stats(),
         })
         if self.explorer is not None:
-            names = self.indexes.names()
-            shard_entries = set()
-            for name in names:
-                shard_entries.update(self.indexes.shard_names(name))
-            # Top-level indexes: user-registered graphs only; the
-            # per-shard entries report under "partitions" instead.
-            doc["indexes"] = {
-                name: self.indexes.stats(name)
-                for name in names if name not in shard_entries
-            }
-            partitions = {}
-            for name in names:
-                info = self.indexes.shard_stats(name)
-                if info is not None:
-                    partitions[name] = info
-            if partitions:
-                doc["partitions"] = partitions
+            doc["indexes"] = {name: self.indexes.stats(name)
+                              for name in self.indexes.names()}
         return doc

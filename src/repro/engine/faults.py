@@ -4,7 +4,7 @@ A fault-tolerant execution plane is unfalsifiable without a way to
 *cause* the faults it claims to survive.  This module provides the
 seeded :class:`FaultPlan` that the chaos suite, the CI ``chaos`` job
 and the resilience benchmark all drive: a plan can kill worker jobs,
-delay/duplicate/drop shard jobs, corrupt pickled payloads, break the
+delay/duplicate/drop whole-query jobs, corrupt pickled payloads, break the
 process pool, and raise inside named tracing spans -- each with a
 deterministic, seed-derived decision per injection site, so a failing
 chaos run replays bit-for-bit.
@@ -19,8 +19,8 @@ job up.  The drawn actions ship *with* the job (see
 
 Plans are installable three ways, all equivalent:
 
-* ``QueryEngine(faults=FaultPlan.from_spec("seed=7;kill:shard@0.05"))``
-* the CLI: ``--fault-plan "seed=7;kill:shard@0.05"``
+* ``QueryEngine(faults=FaultPlan.from_spec("seed=7;kill:full_query@0.05"))``
+* the CLI: ``--fault-plan "seed=7;kill:full_query@0.05"``
 * the environment: ``REPRO_FAULT_PLAN=...`` (what the CI chaos job
   sets; every engine constructed without an explicit plan picks it
   up).
@@ -31,8 +31,8 @@ Spec grammar (``;``-separated tokens)::
     <kind>:<target>@<rate>[=<param>][#<limit>]
 
 ``kind`` is one of :data:`FAULT_KINDS`; ``target`` is an
-``fnmatch``-style pattern over job-class names (``shard``,
-``full_query``, ``full_query_batch``, ``detect``, ``batch_member``)
+``fnmatch``-style pattern over job-class names (``full_query``,
+``full_query_batch``, ``detect``, ``batch_member``)
 or ``span:<name>`` for span-level ``error`` rules; ``rate`` is the
 injection probability; ``param`` is kind-specific (sleep seconds for
 ``delay``, message for ``error``); ``#limit`` caps total injections

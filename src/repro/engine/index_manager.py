@@ -127,19 +127,13 @@ class GraphPayload:
                     self.frozen, protocol=pickle.HIGHEST_PROTOCOL)
         return self._blob
 
-    def _extras(self):
-        """Sidecar tuple published next to the CSR (none for a whole
-        graph; shard payloads override)."""
-        return None
-
     def ref(self):
         """The payload-plane locator, publishing on first use (one
         segment per payload, guarded against concurrent queries).
         ``None`` when every zero-copy rung is unavailable."""
         with self._transport_lock:
             if self._segment is None:
-                self._segment = payloads.publish(
-                    self.key, self.frozen, self._extras())
+                self._segment = payloads.publish(self.key, self.frozen)
             return self._segment.ref if self._segment is not None \
                 else None
 
@@ -159,17 +153,14 @@ class GraphPayload:
             segment.release()
 
 
-def _release_orphaned(lock, stores):
+def _release_orphaned(lock, store):
     """GC finalizer for a manager dropped without ``shutdown()``: its
     cached payloads must not pin shared-memory segments until the
-    atexit sweep.  ``stores`` is the manager's list of payload dicts
-    (subclasses append their own), captured without a reference to
-    the manager itself."""
-    stale = []
+    atexit sweep.  ``store`` is the manager's payload dict, captured
+    without a reference to the manager itself."""
     with lock:
-        for store in stores:
-            stale.extend(store.values())
-            store.clear()
+        stale = list(store.values())
+        store.clear()
     for payload in stale:
         payload.release()
 
@@ -194,17 +185,15 @@ class IndexManager:
         # bounded by the number of registered graphs.
         self._full_payloads = {}
         self._payload_epoch = next(self._payload_epochs)
-        # Payload dicts to drain when this manager is collected
-        # without an explicit ``release_payloads`` (an engine dropped
-        # without shutdown); subclasses append theirs.
-        self._payload_stores = [self._full_payloads]
+        # Drains the payloads when this manager is collected without
+        # an explicit ``release_payloads`` (an engine dropped without
+        # shutdown).
         self._payload_finalizer = weakref.finalize(
-            self, _release_orphaned, self._lock, self._payload_stores)
+            self, _release_orphaned, self._lock, self._full_payloads)
         # Optional build delegate ``(graph, core=None) -> (core,
         # cltree)``; the engine's process backend installs one so
-        # CL-tree builds (every graph *and* every shard entry, so an
-        # upload builds all shard trees concurrently) run in worker
-        # processes instead of under the GIL.  Any executor failure
+        # CL-tree builds run in worker processes instead of under the
+        # GIL.  Any executor failure
         # falls back to the in-process build below.
         self.build_executor = None
         # How many delegated builds failed and fell back locally --
@@ -531,24 +520,6 @@ class IndexManager:
             doc["max_cascade_size"] = max(doc["max_cascade_size"],
                                           tm.max_cascade_size)
         return doc
-
-    # ------------------------------------------------------------------
-    # sharding interface -- unsharded defaults, overridden by
-    # :class:`~repro.engine.sharding.ShardedIndexManager` so the
-    # engine can stay polymorphic over both managers.
-    # ------------------------------------------------------------------
-    def shards(self, name):
-        """How many shards ``name`` is held as (always 1 here)."""
-        return 1
-
-    def shard_names(self, name):
-        """Index-entry names of ``name``'s shards (none here)."""
-        return []
-
-    def shard_stats(self, name):
-        """Partition/per-shard stats for ``name`` (``None`` when
-        unsharded)."""
-        return None
 
     # ------------------------------------------------------------------
     # builds

@@ -14,7 +14,7 @@ amortised across every dispatch and every worker.
 Transport ladder (each rung degrades to the next automatically):
 
 1. **shm** -- ``multiprocessing.shared_memory`` segments.  One
-   refcounted :class:`Segment` per ``(graph, shard, version)`` payload,
+   refcounted :class:`Segment` per ``(graph, version)`` payload,
    owned by the parent; unlinked on version bump, eviction, engine
    shutdown, and (backstop) at interpreter exit, so no
    ``resource_tracker`` leak warnings survive a clean run.
@@ -67,10 +67,9 @@ ENV_TRANSPORT = "REPRO_PAYLOAD_TRANSPORT"
 TRANSPORTS = ("shm", "registry", "pickle")
 
 # Packed payload layout: magic, then byte lengths of the four parts
-# (raw int32 indptr, raw int32 indices, pickled shard extras, pickled
-# keyword/label sidecar), then the parts themselves.  Extras decode
-# eagerly (shard jobs need ``old_ids``/``global_degree`` up front);
-# the sidecar stays *undecoded in the buffer* until a vertex
+# (raw int32 indptr, raw int32 indices, a reserved slot holding a
+# pickled ``None``, pickled keyword/label sidecar), then the parts
+# themselves.  The sidecar stays *undecoded in the buffer* until a vertex
 # attribute is actually read -- structural kernels never pay for it.
 # Identical for shm segments and on-disk ``frozen.bin`` files, so
 # attach and mmap-load share one decoder.
@@ -122,13 +121,13 @@ def _array_bytes(arr):
     return bytes(arr)
 
 
-def pack_payload(frozen, extras=None):
-    """Pack a frozen graph (plus optional shard ``extras``) into the
-    flat segment/file layout.  Returns a list of byte chunks."""
+def pack_payload(frozen):
+    """Pack a frozen graph into the flat segment/file layout.  Returns
+    a list of byte chunks."""
     frozen._ensure_sidecar()
     indptr = _array_bytes(frozen.indptr)
     indices = _array_bytes(frozen.indices)
-    meta = pickle.dumps(extras, protocol=pickle.HIGHEST_PROTOCOL)
+    meta = pickle.dumps(None, protocol=pickle.HIGHEST_PROTOCOL)
     sidecar = pickle.dumps((frozen._keywords, frozen._labels),
                            protocol=pickle.HIGHEST_PROTOCOL)
     header = _HEADER.pack(_MAGIC, len(indptr), len(indices),
@@ -141,11 +140,8 @@ def unpack_payload(buf, key=None):
     segment or mmap).  The CSR arrays stay *views into the buffer* --
     this is the zero-copy attach -- and the keyword/label sidecar is
     handed to the snapshot as a lazy loader over its buffer slice, so
-    a structural query never unpickles it; only the small shard
-    ``extras`` decode eagerly.  Returns the same object shape
-    ``pickle.loads`` produced on the blob path: a bare
-    :class:`FrozenGraph` for full payloads, ``(frozen, old_ids,
-    global_degree)`` for shard payloads.
+    a structural query never unpickles it.  Returns the
+    :class:`FrozenGraph` ``pickle.loads`` produces on the blob path.
     """
     from repro.graph.frozen import FrozenGraph
 
@@ -155,15 +151,13 @@ def unpack_payload(buf, key=None):
         if magic != _MAGIC:
             raise ValueError("bad payload magic: {!r}".format(magic))
         off = _HEADER.size
+        if off + n_indptr + n_indices + n_meta + n_sidecar > len(buf):
+            raise ValueError("payload truncated")
         indptr = buf[off:off + n_indptr].cast("i")
         off += n_indptr
         indices = buf[off:off + n_indices].cast("i")
-        off += n_indices
-        extras = pickle.loads(bytes(buf[off:off + n_meta]))
-        off += n_meta
+        off += n_indices + n_meta
         side = buf[off:off + n_sidecar]
-    except PayloadCorruptionError:
-        raise
     except Exception as exc:
         raise PayloadCorruptionError(
             "payload segment decode failed: {}".format(exc), key=key)
@@ -178,11 +172,8 @@ def unpack_payload(buf, key=None):
                 "payload sidecar decode failed: {}".format(exc),
                 key=key)
 
-    frozen = FrozenGraph(indptr, indices, None, None,
-                         sidecar_loader=load_sidecar)
-    if extras is None:
-        return frozen
-    return (frozen,) + tuple(extras)
+    return FrozenGraph(indptr, indices, None, None,
+                       sidecar_loader=load_sidecar)
 
 
 # ----------------------------------------------------------------------
@@ -358,7 +349,7 @@ def _next_segment_name():
         return "repro-{:x}-{:x}".format(os.getpid(), _seq)
 
 
-def publish(key, frozen, extras=None):
+def publish(key, frozen):
     """Place one frozen payload on the best available zero-copy rung.
 
     Returns a :class:`Segment`/:class:`_RegistrySlot` owner (holding
@@ -370,7 +361,7 @@ def publish(key, frozen, extras=None):
     if mode == "pickle":
         return None
     if mode == "shm" and _shm_ok and _shared_memory is not None:
-        chunks = pack_payload(frozen, extras)
+        chunks = pack_payload(frozen)
         nbytes = sum(len(c) for c in chunks)
         try:
             shm = _QuietSharedMemory(
@@ -390,9 +381,8 @@ def publish(key, frozen, extras=None):
                 _segments[segment.name] = segment
             return segment
     if _registry_ok:
-        payload = frozen if extras is None else (frozen,) + tuple(extras)
         with _lock:
-            _fork_registry[key] = payload
+            _fork_registry[key] = frozen
             _registry_owned.add(key)
         return _RegistrySlot(key, 0)
     return None

@@ -4,9 +4,9 @@ to failure instead of propagating it.
 Three mechanisms, composed by the executor's fan-out paths:
 
 * :class:`RetryPolicy` -- per-job-class retry budgets.  Every engine
-  job class (``shard``, ``full_query``, ``full_query_batch``,
-  ``detect``) is a pure function of an immutable frozen payload, so
-  retries are always safe; the policy only decides *how many* and *how
+  job class (``full_query``, ``full_query_batch``, ``detect``) is a
+  pure function of an immutable frozen payload, so retries are always
+  safe; the policy only decides *how many* and *how
   spaced* (capped exponential backoff with deterministic jitter), and
   the remaining-deadline budget always wins -- a retry whose backoff
   would outlive the caller's deadline is not attempted.
@@ -94,7 +94,6 @@ class RetryPolicy:
 #: straggling member -- the batching layer's solo-retry is the better
 #: tool there.
 POLICIES = {
-    "shard": RetryPolicy(attempts=3, hedge=True),
     "full_query": RetryPolicy(attempts=3, hedge=True),
     "full_query_batch": RetryPolicy(attempts=3, hedge=False),
     "detect": RetryPolicy(attempts=2, hedge=False),

@@ -1,1236 +1,11 @@
-"""Sharded graph execution: partitioned CL-tree/k-core indexes plus
-the engine-level fan-out/merge that queries them in parallel.
+"""Compatibility alias: partitioned execution was removed.
 
-One large graph used to saturate one :class:`IndexManager` entry and
-one worker: every structural query re-scanned the whole vertex set on
-a single thread, and every maintenance update invalidated the single
-monolithic index.  This module decomposes that work the way factorised
-query engines decompose large instances (FDB in PAPERS.md) -- split
-the graph once, push the per-partition work out to the worker pool,
-and combine at the engine layer:
-
-* :func:`partition_graph` / :class:`GraphPartitioner` -- edge-cut
-  vertex partitioning.  The default is a deterministic multiplicative
-  hash (stable across runs, O(n), oblivious to structure); the
-  ``greedy`` method is a METIS-flavoured linear deterministic greedy
-  balancer that places each vertex with the neighbours it already has,
-  under a capacity penalty, cutting far fewer edges on
-  community-structured graphs.  Partition skew is the failure mode the
-  dynamic hash-join literature warns about (Jahangiri et al. in
-  PAPERS.md); :meth:`Partition.stats` reports balance and cut so the
-  metrics endpoint can surface it.
-
-* :class:`ShardedIndexManager` -- an :class:`IndexManager` that, for a
-  graph registered with ``shards > 1``, also materialises one induced
-  subgraph **per shard** and registers each as its own versioned
-  CL-tree/k-core index entry.  A :class:`CoreMaintainer` update is
-  routed to the *owning shard only*: an intra-shard edge is applied to
-  that shard's subgraph and bumps that shard's version; every other
-  shard keeps its cached decomposition.  Shard-local core numbers are
-  computed on a subgraph of ``G``, so they lower-bound the true core
-  numbers -- which makes them sound *certificates*: a vertex whose
-  shard-local core is ``>= k`` is guaranteed to be in the global
-  k-core and never needs to be peeled again.
-
-* :func:`sharded_structural_community` -- the exact decompose-then-
-  combine query path.  Fan-out: each shard scans only its own
-  vertices, classifying them as *certified* (shard-local core >= k),
-  *dropped* (global degree < k) or *uncertain*.  Merge: the engine
-  drains the peeling cascade over the uncertain vertices (certified
-  vertices are immovable), takes the connected component of the query
-  vertex, and re-verifies the k-core constraint on every
-  boundary-crossing vertex of the merged community.  The result is
-  provably the exact connected k-core component -- identical to the
-  unsharded answer -- because certified vertices belong to the k-core
-  by monotonicity and the cascade is the standard peel restricted to
-  the only vertices that can still move.
-
-* :func:`sharded_search` -- runs one shardable community search end to
-  end: structural phase fanned out over
-  :meth:`~repro.engine.executor.QueryEngine.map_shards`, then the
-  algorithm-specific finish (``global`` builds the community directly;
-  the ACQ family re-runs its keyword enumeration over the merged base,
-  which re-verifies the keyword constraints on the full graph).  With
-  ``shards=1`` nothing here runs at all -- the engine keeps the exact
-  pre-sharding code path.
-
-* **process-backend fan-out** -- with
-  ``QueryEngine(backend="process")`` the per-shard scans leave the
-  parent interpreter entirely: :class:`ShardPayload` caches, per
-  ``(graph, version, shard)``, a pre-pickled CSR
-  :class:`~repro.graph.frozen.FrozenGraph` snapshot of the shard (plus
-  id map and global degrees), and
-  :func:`~repro.engine.backends.shard_candidates_job` answers the
-  certify/drop/classify probe in a ``multiprocessing`` worker.  The
-  payload is serialised once per shard version -- not per query -- and
-  maintenance invalidates it exactly when it bumps the shard's index
-  version.  Merge, cascade drain and boundary re-verification stay in
-  the parent, so sharded/process results remain byte-identical to
-  unsharded/thread execution.
+``perfbench/layers.py`` wraps ``ShardedIndexManager.invalidate``, and
+the benchmark's files are revised separately from the engine, so the
+name stays as an alias of :class:`IndexManager` until the next
+benchmark revision drops the import.
 """
 
-import pickle
-import time
+from repro.engine.index_manager import IndexManager
 
-from repro.algorithms.attributed_truss import attributed_truss_search
-from repro.algorithms.truss_search import truss_community_search
-from repro.core.acq import acq_search
-from repro.core.community import Community
-from repro.core.kcore import connected_k_core, core_decomposition
-from repro.core.ktruss import truss_decomposition
-from repro.engine.backends import (
-    FixedBaseIndex,
-    shard_candidates_job,
-    shard_truss_job,
-)
-from repro.engine import tracing
-from repro.engine.index_manager import GraphPayload, IndexManager
-from repro.engine.plans import FANOUT_ALGORITHMS, TRUSS_FAMILY
-from repro.graph.frozen import FrozenGraph
-from repro.util.errors import (
-    CExplorerError,
-    QueryCancelledError,
-    QueryError,
-    QueryTimeoutError,
-)
-
-# Algorithms whose structural phase fans out over shards: the k-core
-# families (structural phase = the connected k-core component) and,
-# since the truss maintenance subsystem landed, the triangle families
-# (structural phase = the global k-truss edge set, certified
-# shard-locally and completed by peeling only uncertain/cut edges).
-# `local` is already sublinear, so it runs unsharded.
-SHARDABLE_ALGORITHMS = FANOUT_ALGORITHMS
-
-PARTITION_METHODS = ("hash", "greedy")
-
-_SHARD_SEP = "#shard"
-
-# Knuth's multiplicative constant: spreads consecutive dense ids so a
-# hash partition does not put every community on one shard.
-_HASH_MULT = 2654435761
-_HASH_MASK = 0xFFFFFFFF
-
-
-def hash_shard(v, shards):
-    """Deterministic shard owner of vertex id ``v`` (stable across
-    runs and processes -- no reliance on Python's seeded ``hash``)."""
-    return ((v * _HASH_MULT) & _HASH_MASK) % shards
-
-
-class ShardMergeError(CExplorerError):
-    """A merged community failed re-verification (a sharding bug --
-    surfaced loudly instead of silently returning a wrong answer)."""
-
-
-class Partition:
-    """An edge-cut vertex partition of one graph.
-
-    ``assignment[v]`` is the owning shard of vertex ``v``.  Vertices
-    created after partitioning (online inserts) are assigned on demand
-    by the deterministic hash rule, so ownership is total at all times.
-    """
-
-    __slots__ = ("shards", "method", "assignment", "cut_edges")
-
-    def __init__(self, shards, method, assignment, cut_edges):
-        self.shards = shards
-        self.method = method
-        self.assignment = assignment
-        self.cut_edges = cut_edges
-
-    def owner(self, v):
-        """The shard owning ``v`` (hash-assigned when ``v`` postdates
-        the partitioning pass)."""
-        if v < len(self.assignment):
-            return self.assignment[v]
-        return hash_shard(v, self.shards)
-
-    def assign(self, v):
-        """Record ownership for a vertex created after partitioning;
-        returns the owning shard."""
-        while len(self.assignment) <= v:
-            self.assignment.append(
-                hash_shard(len(self.assignment), self.shards))
-        return self.assignment[v]
-
-    def members(self, shard):
-        """Vertex ids owned by ``shard`` (in id order)."""
-        return [v for v, s in enumerate(self.assignment) if s == shard]
-
-    def sizes(self):
-        """Vertex count per shard."""
-        counts = [0] * self.shards
-        for s in self.assignment:
-            counts[s] += 1
-        return counts
-
-    def stats(self):
-        """Balance/cut summary for the metrics endpoint."""
-        sizes = self.sizes()
-        mean = sum(sizes) / self.shards if self.shards else 0.0
-        return {
-            "shards": self.shards,
-            "method": self.method,
-            "sizes": sizes,
-            "cut_edges": self.cut_edges,
-            "balance": round(max(sizes) / mean, 4) if mean else 1.0,
-        }
-
-
-class GraphPartitioner:
-    """Edge-cut partitioner with pluggable placement strategies.
-
-    ``method="hash"`` (default) is the deterministic multiplicative
-    hash: O(n), perfectly reproducible, structure-oblivious.
-    ``method="greedy"`` is a METIS-style one-pass greedy balancer
-    (linear deterministic greedy): each vertex goes to the shard
-    holding most of its already-placed neighbours, penalised by how
-    full that shard is, with deterministic tie-breaks -- fewer cut
-    edges on graphs with community structure, same O(n + m) cost.
-    """
-
-    def __init__(self, shards, method="hash"):
-        if shards < 1:
-            raise CExplorerError("shards must be >= 1")
-        if method not in PARTITION_METHODS:
-            raise CExplorerError(
-                "unknown partitioner {!r}; choose from {}".format(
-                    method, PARTITION_METHODS))
-        self.shards = shards
-        self.method = method
-
-    def partition(self, graph):
-        """Partition ``graph``; returns a :class:`Partition`."""
-        n = graph.vertex_count
-        if self.shards == 1:
-            assignment = [0] * n
-        elif self.method == "hash":
-            assignment = [hash_shard(v, self.shards) for v in range(n)]
-        else:
-            assignment = self._greedy(graph)
-        cut = sum(1 for u, v in graph.edges()
-                  if assignment[u] != assignment[v])
-        return Partition(self.shards, self.method, assignment, cut)
-
-    def _greedy(self, graph):
-        n = graph.vertex_count
-        shards = self.shards
-        # Hard cap: no shard exceeds ceil(n / shards), so balance is
-        # guaranteed and skew cannot hide behind a good cut.
-        capacity = -(-n // shards)
-        assignment = [-1] * n
-        loads = [0] * shards
-        # Highest-degree first: hubs seed shards, their neighbourhoods
-        # follow them.  Ties break on vertex id for determinism.
-        order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-        for v in order:
-            placed = [0] * shards
-            for u in graph.neighbors(v):
-                if assignment[u] >= 0:
-                    placed[assignment[u]] += 1
-            best, best_key = 0, None
-            for s in range(shards):
-                if loads[s] >= capacity:
-                    continue
-                # Most already-placed neighbours wins; ties go to the
-                # least-loaded shard, then the lowest index.
-                key = (placed[s], -loads[s])
-                if best_key is None or key > best_key:
-                    best, best_key = s, key
-            assignment[v] = best
-            loads[best] += 1
-        return assignment
-
-
-def shard_entry_name(name, shard):
-    """Index-entry name of one shard of graph ``name``."""
-    return "{}{}{}".format(name, _SHARD_SEP, shard)
-
-
-def parent_graph_name(entry_name):
-    """The graph a (possibly shard-) entry name belongs to."""
-    return entry_name.split(_SHARD_SEP, 1)[0]
-
-
-class ShardReport:
-    """One shard's contribution to a structural query: the fan-out
-    payload the merge step consumes."""
-
-    __slots__ = ("shard", "certified", "uncertain", "dropped")
-
-    def __init__(self, shard, certified, uncertain, dropped):
-        self.shard = shard
-        self.certified = certified    # set: shard-local core >= k
-        self.uncertain = uncertain    # dict v -> current degree
-        self.dropped = dropped        # list: global degree < k
-
-
-class TrussShardReport:
-    """One shard's contribution to a truss structural query.
-
-    ``certified`` edges have shard-local truss >= k, which certifies
-    global truss >= k by subgraph monotonicity; ``uncertain`` is the
-    rest of the shard's (intra-shard) edges.  Cross-shard (cut) edges
-    belong to no shard and are classified at the merge.  All edges are
-    ``(u, v)`` tuples with ``u < v`` in *global* vertex ids.
-    """
-
-    __slots__ = ("shard", "certified", "uncertain")
-
-    def __init__(self, shard, certified, uncertain):
-        self.shard = shard
-        self.certified = certified
-        self.uncertain = uncertain
-
-
-class ShardPayload(GraphPayload):
-    """One shard's frozen snapshot, ready to ship to a worker process.
-
-    The payload bundles the ``(FrozenGraph, old_ids, global_degree)``
-    triple a shard job needs.  :meth:`job_arg` ships it zero-copy
-    through the payload plane (one shared-memory segment per shard
-    version, a tiny ref per dispatch); ``blob`` is the pickled-triple
-    fallback, serialised lazily **once per shard version** and reused
-    until maintenance bumps the shard.  ``key`` is the ``(manager
-    epoch, graph, shard, version)`` identity workers cache their
-    attached/unpickled copy (and its shard-local core numbers) under
-    -- the epoch keeps same-named graphs of different managers apart
-    when jobs run inline in a shared parent process.
-    """
-
-    __slots__ = ("old_ids", "global_degree")
-
-    def __init__(self, key, version, frozen, old_ids, global_degree,
-                 build_seconds):
-        super().__init__(key, version, frozen, build_seconds)
-        self.old_ids = old_ids
-        self.global_degree = global_degree
-
-    @property
-    def blob(self):
-        """The pickled job triple (serialised once, on first use)."""
-        if self._blob is None:
-            with tracing.span("payload_pickle"):
-                self._blob = pickle.dumps(
-                    (self.frozen, self.old_ids, self.global_degree),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-        return self._blob
-
-    def _extras(self):
-        return (self.old_ids, self.global_degree)
-
-
-class _ShardSet:
-    """Partition bookkeeping for one sharded graph."""
-
-    __slots__ = ("partition", "names", "graphs", "old_to_new", "routed")
-
-    def __init__(self, partition, names, graphs, old_to_new):
-        self.partition = partition
-        self.names = names
-        self.graphs = graphs          # per-shard induced subgraphs
-        self.old_to_new = old_to_new  # per-shard {global id: local id}
-        self.routed = None            # maintainer wired for routing
-
-
-class ShardedIndexManager(IndexManager):
-    """An :class:`IndexManager` that can hold a graph as shards.
-
-    ``register(..., shards=n)`` additionally materialises the ``n``
-    induced shard subgraphs and registers each under
-    ``<name>#shard<i>`` -- a full versioned index entry of its own, so
-    shard CL-trees build lazily/eagerly like any other index and
-    ``/api/metrics`` reports per-shard versions for free.  With
-    ``shards=1`` (the default) behaviour is exactly the parent's.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._parts = {}
-        # (name, shard) -> ShardPayload, valid while the shard entry's
-        # version matches; one latest payload per shard, so the cache
-        # is bounded by the number of live shard entries.  The payload
-        # epoch (worker-cache identity of same-named graphs across
-        # managers) is inherited from :class:`IndexManager`.
-        self._payloads = {}
-        self._payload_stores.append(self._payloads)
-        # name -> {edge: exact global support} for the edges no shard
-        # owns (cut edges).  Kept exact under maintenance by the
-        # :meth:`invalidate` override: an update only evicts the
-        # entries its neighbourhood could have changed.
-        self._cut_supports = {}
-        self.cut_support_hits = 0
-        self.cut_support_misses = 0
-
-    # ------------------------------------------------------------------
-    # registration
-    # ------------------------------------------------------------------
-    def register(self, name, graph, build="lazy", shards=1,
-                 partitioner="hash"):
-        """Register ``name``; with ``shards > 1`` also partition it
-        and register one index entry per shard subgraph."""
-        if _SHARD_SEP in name:
-            raise CExplorerError(
-                "graph names may not contain {!r}".format(_SHARD_SEP))
-        # Validate shard arguments (and compute the partition) *before*
-        # touching the parent entry: a rejected registration must not
-        # leave the manager holding a graph its caller rolled back.
-        part = GraphPartitioner(shards, partitioner).partition(graph) \
-            if shards > 1 else None
-        version = super().register(name, graph, build=build)
-        if part is not None:
-            names, graphs, mappings = [], [], []
-            for i in range(shards):
-                sub, old_to_new = graph.induced_subgraph(part.members(i))
-                entry = shard_entry_name(name, i)
-                # Replaces a same-named entry from a previous sharded
-                # registration in place -- no window where a shard
-                # entry is missing.
-                super().register(entry, sub, build=build)
-                names.append(entry)
-                graphs.append(sub)
-                mappings.append(old_to_new)
-            fresh = _ShardSet(part, names, graphs, mappings)
-            with self._lock:
-                old = self._parts.get(name)
-                self._parts[name] = fresh
-                self._cut_supports.pop(name, None)
-                stale = self._drop_shard_payloads(name)
-            leftovers = old.names[shards:] if old is not None else []
-        else:
-            with self._lock:
-                old = self._parts.pop(name, None)
-                self._cut_supports.pop(name, None)
-                stale = self._drop_shard_payloads(name)
-            leftovers = old.names if old is not None else []
-        for payload in stale:
-            payload.release()
-        for entry in leftovers:
-            super().unregister(entry)
-        return version
-
-    def _drop_shard_payloads(self, name, shard=None):
-        """Pop cached shard payloads of ``name`` (one shard or all)
-        and return them for release *outside* the manager lock."""
-        stale = [key for key in self._payloads
-                 if key[0] == name and (shard is None or key[1] == shard)]
-        return [self._payloads.pop(key) for key in stale]
-
-    def unregister(self, name):
-        """Drop ``name``, its shard entries and its cached payloads
-        (releasing their shared-memory segments)."""
-        with self._lock:
-            old = self._parts.pop(name, None)
-            self._cut_supports.pop(name, None)
-            stale = self._drop_shard_payloads(name)
-        for payload in stale:
-            payload.release()
-        if old is not None:
-            for entry in old.names:
-                super().unregister(entry)
-        super().unregister(name)
-
-    def discard_payload(self, key):
-        """Quarantine hook covering shard payloads too: a corrupt or
-        unattachable per-shard payload is dropped from the cache and
-        its segment unlinked, so the next fan-out re-freezes and
-        re-publishes that shard."""
-        if super().discard_payload(key):
-            return True
-        with self._lock:
-            stale = None
-            for cache_key, payload in list(self._payloads.items()):
-                if payload.key == key:
-                    stale = self._payloads.pop(cache_key)
-                    break
-        if stale is not None:
-            stale.release()
-            return True
-        return False
-
-    def release_payloads(self):
-        """Shutdown hook: release shard payloads too."""
-        with self._lock:
-            stale = list(self._payloads.values())
-            self._payloads.clear()
-        for payload in stale:
-            payload.release()
-        super().release_payloads()
-
-    # ------------------------------------------------------------------
-    # shard reads
-    # ------------------------------------------------------------------
-    def shards(self, name):
-        """Number of shards ``name`` is held as (1 = unsharded)."""
-        part = self._parts.get(name)
-        return part.partition.shards if part is not None else 1
-
-    def partition(self, name):
-        """The :class:`Partition` of ``name``, or ``None``."""
-        part = self._parts.get(name)
-        return part.partition if part is not None else None
-
-    def shard_names(self, name):
-        """Index-entry names of ``name``'s shards (empty when
-        unsharded)."""
-        part = self._parts.get(name)
-        return list(part.names) if part is not None else []
-
-    def shard_stats(self, name):
-        """Partition + per-shard index lifecycle stats (metrics)."""
-        part = self._parts.get(name)
-        if part is None:
-            return None
-        doc = part.partition.stats()
-        doc["indexes"] = [self.stats(entry) for entry in part.names]
-        doc["cut_support_cache"] = {
-            "entries": len(self._cut_supports.get(name, ())),
-            # Manager-wide counters: how often truss merges found
-            # their cut-edge supports warm vs had to intersect.
-            "hits": self.cut_support_hits,
-            "misses": self.cut_support_misses,
-        }
-        return doc
-
-    def shard_candidates(self, name, shard, k):
-        """One shard's :class:`ShardReport` for a level-``k`` query.
-
-        Runs as a fan-out job on the worker pool: scans only the
-        shard's own vertices, certifying via the shard-local core
-        numbers (cached per shard version, so only maintenance on
-        *this* shard ever forces a recompute).
-        """
-        with self._lock:
-            part = self._parts.get(name)
-            if part is None:
-                raise CExplorerError(
-                    "graph {!r} is not sharded".format(name))
-        sub = part.graphs[shard]
-        try:
-            # Only trust the cached per-version decomposition when the
-            # index entry still holds *this* shard set's subgraph
-            # (a concurrent re-registration may have replaced it).
-            if self.graph(part.names[shard]) is sub:
-                local_core = self.core(part.names[shard])
-            else:
-                local_core = core_decomposition(sub)
-        except CExplorerError:
-            local_core = core_decomposition(sub)
-        mapping = part.old_to_new[shard]
-        graph = self.graph(name)
-        certified = set()
-        uncertain = {}
-        dropped = []
-        for old, new in mapping.items():
-            if local_core[new] >= k:
-                certified.add(old)
-                continue
-            degree = graph.degree(old)
-            if degree < k:
-                dropped.append(old)
-            else:
-                uncertain[old] = degree
-        return ShardReport(shard, certified, uncertain, dropped)
-
-    def shard_truss_candidates(self, name, shard, k):
-        """One shard's :class:`TrussShardReport` for a level-``k``
-        truss query.
-
-        Runs as a fan-out job on the worker pool: decomposes only the
-        shard's own induced subgraph (cached per shard truss version,
-        so only maintenance on *this* shard ever forces a recompute)
-        and certifies edges whose shard-local truss number reaches
-        ``k``.
-        """
-        with self._lock:
-            part = self._parts.get(name)
-            if part is None:
-                raise CExplorerError(
-                    "graph {!r} is not sharded".format(name))
-        sub = part.graphs[shard]
-        try:
-            # Only trust the cached per-version decomposition when the
-            # index entry still holds *this* shard set's subgraph.
-            if self.graph(part.names[shard]) is sub:
-                local_truss = self.truss(part.names[shard])
-            else:
-                local_truss = truss_decomposition(sub)
-        except CExplorerError:
-            local_truss = truss_decomposition(sub)
-        mapping = part.old_to_new[shard]
-        old_ids = [0] * len(mapping)
-        for old, new in mapping.items():
-            old_ids[new] = old
-        certified = set()
-        uncertain = set()
-        for u, v in sub.edges():
-            a, b = old_ids[u], old_ids[v]
-            edge = (a, b) if a < b else (b, a)
-            if local_truss.get((u, v), 0) >= k:
-                certified.add(edge)
-            else:
-                uncertain.add(edge)
-        return TrussShardReport(shard, certified, uncertain)
-
-    def shard_payload(self, name, shard):
-        """The pickled-frozen snapshot of one shard, cached per
-        ``(graph, version, shard)``.
-
-        Returns ``(payload, fresh)`` where ``fresh`` says the snapshot
-        was (re)built by this call -- the engine records the build
-        time under the ``snapshot_build`` latency op.  The payload
-        bundles everything :func:`~repro.engine.backends.
-        shard_candidates_job` needs to answer a level-``k`` probe in a
-        worker process: the shard subgraph as a CSR
-        :class:`~repro.graph.frozen.FrozenGraph`, the local-to-global
-        id map, and the owned vertices' *global* degrees (an edge
-        update always bumps both endpoint owners' shard versions, so a
-        version-matched payload never carries stale degrees).
-        """
-        start = time.perf_counter()
-        with self._lock:
-            part = self._parts.get(name)
-            if part is None:
-                raise CExplorerError(
-                    "graph {!r} is not sharded".format(name))
-            entry_name = part.names[shard]
-            version = self.version(entry_name)
-            cached = self._payloads.get((name, shard))
-            if cached is not None and cached.version == version:
-                return cached, False
-            # Snapshot under the lock: maintenance routing mutates the
-            # shard subgraphs under the same lock, so the frozen CSR
-            # and the degree array are a consistent cut of one state.
-            sub = part.graphs[shard]
-            mapping = part.old_to_new[shard]
-            graph = self.graph(name)
-            with tracing.span("payload_freeze", graph=name,
-                              shard=shard):
-                frozen = FrozenGraph.from_graph(sub)
-            old_ids = [0] * len(mapping)
-            for old, new in mapping.items():
-                old_ids[new] = old
-            global_degree = [graph.degree(old) for old in old_ids]
-        # Serialisation is lazy: the payload plane ships the frozen
-        # arrays zero-copy through a shared-memory segment, so the
-        # pickle (``payload.blob``) only ever runs on the fallback
-        # rung -- cold queries stop paying ``payload_pickle`` at all.
-        payload = ShardPayload(
-            (self._payload_epoch, name, shard, version), version,
-            frozen, old_ids, global_degree,
-            time.perf_counter() - start)
-        replaced = None
-        with self._lock:
-            fresh = self._parts.get(name)
-            # Publish only when the snapshot still describes the live
-            # shard set at the version it was cut at; an unpublished
-            # (raced) payload is still a consistent snapshot of the
-            # state it was cut from, so the in-flight query may use
-            # it -- the same either-state semantics the thread path
-            # has for queries concurrent with mutations.
-            if fresh is part and self.version(entry_name) == version:
-                replaced = self._payloads.get((name, shard))
-                self._payloads[(name, shard)] = payload
-        if replaced is not None:
-            replaced.release()
-        return payload, True
-
-    # ------------------------------------------------------------------
-    # cut-edge support cache
-    # ------------------------------------------------------------------
-    def cut_edge_supports(self, name, edges):
-        """Exact global triangle supports of ``edges``, cached.
-
-        Cut edges (endpoints on different shards) belong to no shard
-        subgraph, so every sharded truss merge needs their exact
-        global supports -- and they are the same edges query after
-        query.  The cache holds them per graph; the
-        :meth:`invalidate` override keeps it exact by evicting only
-        the entries inside each update's affected neighbourhood (an
-        edge's triangle count can only change when the update touches
-        one of its endpoints' adjacencies).  Misses are computed here
-        and cached; hits/misses are counted for :meth:`shard_stats`.
-        """
-        out = {}
-        misses = []
-        with self._lock:
-            graph = self.graph(name)
-            version = self.version(name)
-            cache = self._cut_supports.setdefault(name, {})
-            for edge in edges:
-                support = cache.get(edge)
-                if support is None:
-                    misses.append(edge)
-                else:
-                    self.cut_support_hits += 1
-                    out[edge] = support
-        # Intersect outside the lock: a cold cache over many cut
-        # edges is real work, and every concurrent version/payload
-        # probe shares this lock (same reasoning as the out-of-lock
-        # whole-graph freeze in ``IndexManager.full_payload``).
-        for edge in misses:
-            u, v = edge
-            nu = graph.neighbors(u)
-            if not isinstance(nu, set):
-                nu = set(nu)
-            out[edge] = len(nu.intersection(graph.neighbors(v)))
-        if misses:
-            with self._lock:
-                self.cut_support_misses += len(misses)
-                # Publish only when no maintenance landed while we
-                # computed -- a concurrent update may have evicted
-                # exactly these edges, and re-adding them would
-                # resurrect stale counts.  The in-flight query still
-                # uses the computed values: a consistent snapshot of
-                # the state it read (either-state semantics).
-                entry = self._entries.get(name)
-                if entry is not None and entry.version == version \
-                        and self._cut_supports.get(name) is cache:
-                    for edge in misses:
-                        cache[edge] = out[edge]
-        return out
-
-    def invalidate(self, name, affected=None, **kwargs):
-        """Version bump plus cut-support eviction scoped to the
-        update's neighbourhood.
-
-        A cached cut-edge support can only change when the update
-        touches one of the edge's endpoints, so an ``affected`` region
-        evicts exactly the cache entries with an endpoint inside it;
-        a region-less (conservative) bump clears the graph's whole
-        cut cache.  Shard-entry bumps route to their parent graph's
-        cache.
-        """
-        parent = parent_graph_name(name)
-        stale_payloads = []
-        with self._lock:
-            cache = self._cut_supports.get(parent)
-            if cache:
-                if affected is None:
-                    cache.clear()
-                else:
-                    stale = [edge for edge in cache
-                             if edge[0] in affected
-                             or edge[1] in affected]
-                    for edge in stale:
-                        del cache[edge]
-            # A shard-entry bump makes the cached shard payload one
-            # version stale: release it (and unlink its segment) now
-            # rather than when the next fan-out replaces it.
-            if parent != name and _SHARD_SEP in name:
-                try:
-                    shard = int(name.rsplit(_SHARD_SEP, 1)[1])
-                except ValueError:
-                    shard = None
-                if shard is not None:
-                    stale_payloads = self._drop_shard_payloads(
-                        parent, shard)
-        for payload in stale_payloads:
-            payload.release()
-        return super().invalidate(name, affected=affected, **kwargs)
-
-    # ------------------------------------------------------------------
-    # maintenance routing
-    # ------------------------------------------------------------------
-    def attach_maintainer(self, name, maintainer=None):
-        """Parent wiring plus shard routing: each edge update is
-        applied to -- and bumps the version of -- the owning shard
-        only; the other shards keep their cached decompositions."""
-        maintainer = super().attach_maintainer(name, maintainer)
-        with self._lock:
-            part = self._parts.get(name)
-            # Idempotent per (shard set, maintainer): re-attaching
-            # must not stack a second routing listener (each update
-            # would bump shard versions twice, trashing the per-shard
-            # core caches this class exists to keep).
-            wire = part is not None and part.routed is not maintainer
-            if wire:
-                part.routed = maintainer
-        if wire:
-            def route(event):
-                """Apply the update to the owning shard's subgraph."""
-                self._route_update(name, event)
-            maintainer.add_listener(route)
-        return maintainer
-
-    def _route_update(self, name, event):
-        # The shard-subgraph mutation happens under the manager lock
-        # so :meth:`shard_payload` (which snapshots a subgraph under
-        # the same lock) can never observe a half-applied update and
-        # freeze a torn CSR.
-        with self._lock:
-            part = self._parts.get(name)
-            if part is None:
-                return
-            u, v = event["edge"]
-            partition = part.partition
-            graph = self.graph(name)
-            adopted = set()
-            for w in (u, v):
-                if w >= len(partition.assignment):
-                    adopted |= self._adopt_vertex(part, graph, w)
-            su, sv = partition.owner(u), partition.owner(v)
-            if su == sv:
-                sub = part.graphs[su]
-                mu = part.old_to_new[su][u]
-                mv = part.old_to_new[su][v]
-                if event["kind"] == "insert":
-                    sub.add_edge(mu, mv)
-                elif sub.has_edge(mu, mv):
-                    sub.remove_edge(mu, mv)
-        # A cross-shard edge lives in no shard subgraph; the owning
-        # shards' certificates stay sound (their subgraphs are still
-        # subgraphs of G), but their boundary changed, so their
-        # versions bump and dependants re-read.  Shards that adopted a
-        # new vertex bump too: their subgraph grew, so their cached
-        # core decompositions are stale.
-        for shard in sorted({su, sv} | adopted):
-            self.invalidate(shard_entry_name(name, shard),
-                            affected=set(event["edge"]))
-
-    def _adopt_vertex(self, part, graph, v):
-        """Assign a vertex created after partitioning to its hash
-        shard and mirror it into that shard's subgraph; returns the
-        set of shards that grew (their index entries must be
-        invalidated by the caller)."""
-        partition = part.partition
-        first_new = len(partition.assignment)
-        partition.assign(v)
-        touched = set()
-        for w in range(first_new, len(partition.assignment)):
-            shard = partition.assignment[w]
-            sub = part.graphs[shard]
-            local = sub.add_vertex(graph.label(w), graph.keywords(w))
-            part.old_to_new[shard][w] = local
-            touched.add(shard)
-        return touched
-
-
-# ----------------------------------------------------------------------
-# the exact decompose-then-combine structural query
-# ----------------------------------------------------------------------
-
-def merge_shard_reports(graph, reports, q, k, extra_vertices=()):
-    """Combine per-shard candidate reports into the exact connected
-    k-core component of ``q`` (or ``None``).
-
-    ``extra_vertices`` covers vertices no shard reported (created
-    after the partitioning pass and never routed through a
-    maintainer); they are classified here so the merge stays total.
-
-    The drain is the standard peel restricted to *uncertain* vertices:
-    certified vertices are in the global k-core by monotonicity
-    (shard-local core numbers lower-bound global ones), so they are
-    immovable and their degrees are never tracked.
-    """
-    certified = set()
-    uncertain = {}
-    queue = []
-    for report in reports:
-        certified |= report.certified
-        uncertain.update(report.uncertain)
-        queue.extend(report.dropped)
-    for v in extra_vertices:
-        degree = graph.degree(v)
-        if degree < k:
-            queue.append(v)
-        else:
-            uncertain[v] = degree
-    removed = set(queue)
-    while queue:
-        d = queue.pop()
-        for u in graph.neighbors(d):
-            if u in uncertain and u not in removed:
-                uncertain[u] -= 1
-                if uncertain[u] < k:
-                    removed.add(u)
-                    queue.append(u)
-    if q in removed or (q not in certified and q not in uncertain):
-        return None
-    # Component of q over the survivors, on the full adjacency.
-    component = {q}
-    frontier = [q]
-    while frontier:
-        u = frontier.pop()
-        for w in graph.neighbors(u):
-            if w in component or w in removed:
-                continue
-            if w in certified or w in uncertain:
-                component.add(w)
-                frontier.append(w)
-    return component
-
-
-def verify_boundary(graph, partition, component, k):
-    """Re-verify the k-core constraint on the merged community.
-
-    One pass over the full-graph adjacency recomputes every member's
-    within-community degree -- boundary-crossing vertices included,
-    which is where a bad merge would first show.  A violation raises
-    :class:`ShardMergeError` rather than returning a silently wrong
-    community (the caller answers it by recomputing serially).
-    """
-    for v in component:
-        internal = sum(1 for u in graph.neighbors(v) if u in component)
-        if internal < k:
-            raise ShardMergeError(
-                "vertex {} (shard {}) has internal degree {} < k={} "
-                "after merge".format(v, partition.owner(v), internal,
-                                     k))
-
-
-def sharded_structural_community(engine, name, q, k):
-    """The exact connected k-core component of ``q`` at level ``k``,
-    computed shard-parallel over ``engine``'s worker pool.
-
-    Fan-out: one :meth:`ShardedIndexManager.shard_candidates` job per
-    shard (certify / drop / classify, each scanning only its own
-    vertices).  Merge: drain the peeling cascade, take ``q``'s
-    component, re-verify boundary crossers.  Returns ``None`` when
-    ``q`` is not in the k-core.
-    """
-    indexes = engine.indexes
-    graph = indexes.graph(name)
-    partition = indexes.partition(name)
-    if partition is None:
-        # Raced a re-registration down to shards=1: answer exactly,
-        # just without the fan-out.
-        return connected_k_core(graph, q, k)
-    try:
-        if getattr(engine, "backend", "thread") == "process":
-            # GIL-free fan-out: ship each shard's cached frozen
-            # snapshot to the process pool; workers certify against
-            # shard-local CSR core numbers and return plain
-            # containers in global ids.
-            jobs = []
-            for shard in range(partition.shards):
-                payload, fresh = indexes.shard_payload(name, shard)
-                if fresh:
-                    engine.stats.observe("snapshot_build",
-                                         payload.build_seconds)
-                jobs.append((shard_candidates_job,
-                             (payload.key, payload.job_arg(), k)))
-            raw = engine.map_shard_jobs(jobs, graph=name)
-            reports = [
-                ShardReport(shard, set(certified), dict(uncertain),
-                            list(dropped))
-                for shard, (certified, uncertain, dropped)
-                in enumerate(raw)
-            ]
-        else:
-            jobs = [
-                (lambda shard=shard:
-                 indexes.shard_candidates(name, shard, k))
-                for shard in range(partition.shards)
-            ]
-            reports, _ = engine.map_shards(jobs, graph=name)
-        extra = range(len(partition.assignment), graph.vertex_count)
-        with tracing.span("merge", shards=partition.shards, kind="core"):
-            component = merge_shard_reports(graph, reports, q, k,
-                                            extra_vertices=extra)
-            if component is not None:
-                verify_boundary(graph, partition, component, k)
-        return component
-    except (QueryTimeoutError, QueryCancelledError):
-        # Deadline/cancellation signals belong to admission control;
-        # never convert them into more (serial) work.
-        raise
-    except (CExplorerError, IndexError, RuntimeError):
-        # A concurrent re-registration or maintenance update mutated
-        # the shard set under the fan-out (stale entries, dict/set
-        # changed during iteration, or a merge that failed
-        # re-verification).  Fall back to the exact serial
-        # computation; the stats counter keeps the event visible.
-        engine.stats.count("shard_fallbacks")
-        return connected_k_core(indexes.graph(name), q, k)
-
-
-# ----------------------------------------------------------------------
-# the exact decompose-then-combine truss query
-# ----------------------------------------------------------------------
-
-def merge_truss_reports(graph, reports, k, extra_edges=(),
-                        known_supports=None):
-    """Combine per-shard truss reports into the exact global k-truss
-    edge set.
-
-    ``extra_edges`` covers the edges no shard reported: cut edges
-    (their endpoints live on different shards) and edges of vertices
-    created after partitioning.  The peel is the standard truss peel
-    restricted to *uncertain* edges: certified edges are in the global
-    k-truss by monotonicity (shard-local truss numbers lower-bound
-    global ones), so they are immovable and their supports are never
-    tracked.  Supports of uncertain edges are exact global triangle
-    counts over the full adjacency; ``known_supports`` optionally
-    carries already-exact counts (the manager's cut-edge support
-    cache) so recurring cut edges skip the intersection.
-
-    Returns ``(strong, suspects)``: the k-truss edge set and the
-    subset of it that survived as uncertain (the boundary region
-    :func:`verify_truss_boundary` re-verifies).
-    """
-    certified = set()
-    uncertain = set()
-    for report in reports:
-        certified.update(report.certified)
-        uncertain.update(report.uncertain)
-    for edge in extra_edges:
-        uncertain.add(edge)
-    uncertain -= certified
-    nbrs = graph.neighbors
-    known = known_supports or {}
-    support = {}
-    for u, v in uncertain:
-        s = known.get((u, v))
-        support[(u, v)] = s if s is not None \
-            else len(nbrs(u) & nbrs(v))
-    threshold = k - 2
-    queue = [e for e, s in support.items() if s < threshold]
-    removed = set(queue)
-    # ``removed`` dedupes the queue; ``gone`` tracks edges whose
-    # triangles have been torn down.  They must differ: a triangle
-    # whose two tracked edges are *enqueued together* still has to
-    # decrement its third edge exactly once, which only the
-    # processed-edge set can decide.
-    gone = set()
-    while queue:
-        e = queue.pop()
-        u, v = e
-        gone.add(e)
-        for w in nbrs(u) & nbrs(v):
-            a = (u, w) if u < w else (w, u)
-            b = (v, w) if v < w else (w, v)
-            if a in gone or b in gone:
-                continue  # triangle already torn down
-            for other in (a, b):
-                s = support.get(other)
-                if s is None:
-                    continue  # certified partner: immovable
-                support[other] = s - 1
-                if s - 1 < threshold and other not in removed:
-                    removed.add(other)
-                    queue.append(other)
-    suspects = uncertain - removed
-    return certified | suspects, suspects
-
-
-def verify_truss_boundary(graph, strong, suspects, k):
-    """Re-verify the merged k-truss on its uncertain survivors.
-
-    Certified edges carry a shard-local proof; the ``suspects`` (cut
-    edges and under-certified intra-shard edges that survived the
-    merge peel) are where a bad merge would first show.  Each must
-    close at least ``k - 2`` triangles whose other two edges are in
-    ``strong``; a violation raises :class:`ShardMergeError` rather
-    than returning a silently wrong truss (the caller answers by
-    recomputing serially).
-    """
-    nbrs = graph.neighbors
-    for u, v in suspects:
-        count = 0
-        for w in nbrs(u) & nbrs(v):
-            a = (u, w) if u < w else (w, u)
-            b = (v, w) if v < w else (w, v)
-            if a in strong and b in strong:
-                count += 1
-        if count < k - 2:
-            raise ShardMergeError(
-                "edge ({}, {}) has {} in-truss triangles < k-2={} "
-                "after merge".format(u, v, count, k - 2))
-
-
-def sharded_truss_edge_set(engine, name, k):
-    """The exact global k-truss edge set of graph ``name``, computed
-    shard-parallel over ``engine``'s worker pool.
-
-    Fan-out: one truss certify/classify job per shard (thread backend:
-    :meth:`ShardedIndexManager.shard_truss_candidates`; process
-    backend: :func:`~repro.engine.backends.shard_truss_job` over the
-    cached frozen shard payloads, running the CSR support-counting
-    kernel GIL-free).  Merge: peel the uncertain and cut edges with
-    exact global supports (cut-edge supports come from the manager's
-    per-graph cache, invalidated only by each update's
-    neighbourhood), then re-verify the survivors.  The merged edge
-    set is memoized per ``(graph, truss_version, k)`` in the engine's
-    :class:`~repro.engine.cache.SubproblemMemo` -- queries for
-    different vertices at the same level share one fan-out, and the
-    truss-version key means the entry survives anything that does not
-    move the truss index.  Returns ``None`` when the graph is (no
-    longer) sharded.
-    """
-    indexes = engine.indexes
-    partition = indexes.partition(name)
-    if partition is None:
-        return None
-    truss_version = indexes.truss_version(name)
-    return engine.memo.get_or_compute(
-        name, truss_version, "ktruss-strong", k,
-        lambda: _compute_sharded_truss_edge_set(engine, name, k))
-
-
-def _compute_sharded_truss_edge_set(engine, name, k):
-    """The uncached fan-out/merge behind
-    :func:`sharded_truss_edge_set`."""
-    indexes = engine.indexes
-    graph = indexes.graph(name)
-    partition = indexes.partition(name)
-    if partition is None:
-        return None
-    if getattr(engine, "backend", "thread") == "process":
-        jobs = []
-        for shard in range(partition.shards):
-            payload, fresh = indexes.shard_payload(name, shard)
-            if fresh:
-                engine.stats.observe("snapshot_build",
-                                     payload.build_seconds)
-            jobs.append((shard_truss_job,
-                         (payload.key, payload.job_arg(), k)))
-        raw = engine.map_shard_jobs(jobs, graph=name)
-        reports = [
-            TrussShardReport(shard, set(certified), set(uncertain))
-            for shard, (certified, uncertain) in enumerate(raw)
-        ]
-    else:
-        jobs = [
-            (lambda shard=shard:
-             indexes.shard_truss_candidates(name, shard, k))
-            for shard in range(partition.shards)
-        ]
-        reports, _ = engine.map_shards(jobs, graph=name)
-    # Cut edges and post-partition edges belong to no shard subgraph;
-    # classify them at the merge so coverage stays total.
-    assigned = len(partition.assignment)
-    extra = []
-    for u, v in graph.edges():
-        if (u >= assigned or v >= assigned
-                or partition.assignment[u] != partition.assignment[v]):
-            extra.append((u, v))
-    # Cut edges recur in every truss merge of this graph; their exact
-    # global supports come from the manager's per-(graph) cache,
-    # which maintenance invalidates by the update's neighbourhood
-    # only (see ShardedIndexManager.cut_edge_supports).
-    supports_fn = getattr(indexes, "cut_edge_supports", None)
-    known_supports = supports_fn(name, extra) \
-        if supports_fn is not None else None
-    with tracing.span("merge", shards=partition.shards, kind="truss"):
-        strong, suspects = merge_truss_reports(
-            graph, reports, k, extra_edges=extra,
-            known_supports=known_supports)
-        verify_truss_boundary(graph, strong, suspects, k)
-    return strong
-
-
-def worker_finish(engine, name, algorithm, q, k, keywords, base):
-    """Finish one sharded query inside the whole-query worker
-    pipeline: the parent's merge reconciled the cross-shard structural
-    phase into ``base``; the verification / keyword-enumeration phase
-    runs against the cached frozen payload (in a worker process under
-    the process backend, in-process on the same CSR snapshot
-    otherwise).  Raising callers fall back to the parent-side finish.
-    """
-    return engine.search_full_query(name, algorithm, q, k,
-                                    keywords=keywords, base=base)
-
-
-def sharded_truss_search(engine, name, algorithm, q, k, keywords=None):
-    """Run one triangle-family search partition-parallel.
-
-    ``k-truss``: the merged k-truss edge set replaces the global
-    decomposition (a level-``k`` query only ever asks "is this edge's
-    truss >= k"), and the triangle-connectivity BFS runs unchanged.
-    ``atc``: the merged edge set is the structural base (the
-    whole-graph truss reduction).  The finishing phase -- triangle
-    BFS or keyword enumeration -- runs through the whole-query worker
-    pipeline over the frozen payload; the parent-side finish remains
-    as the fallback.  Results are identical to unsharded execution.
-    """
-    graph = engine.indexes.graph(name)
-    q0 = q if isinstance(q, int) else tuple(q)[0]
-    if k < 2:
-        # Match the serial implementations' validation errors exactly.
-        if algorithm == "k-truss":
-            raise QueryError("k must be >= 2 for a k-truss community")
-        raise QueryError("truss order k must be >= 2")
-    try:
-        strong = sharded_truss_edge_set(engine, name, k)
-    except (QueryTimeoutError, QueryCancelledError):
-        # Deadline/cancellation signals belong to admission control;
-        # never convert them into more (serial) work.
-        raise
-    except (CExplorerError, IndexError, KeyError, RuntimeError):
-        # A concurrent re-registration or maintenance update mutated
-        # the shard set under the fan-out, or the merge failed
-        # re-verification.  Fall back to the exact serial computation.
-        engine.stats.count("shard_fallbacks")
-        strong = None
-    if strong is None:
-        if algorithm == "k-truss":
-            return truss_community_search(graph, q0, k)
-        return attributed_truss_search(graph, q, k, keywords=keywords)
-    try:
-        return worker_finish(engine, name, algorithm, q, k, keywords,
-                             ("edges", tuple(sorted(strong))))
-    except (QueryTimeoutError, QueryCancelledError):
-        raise
-    except QueryError:
-        # Genuine query validation errors are identical either way;
-        # re-running the finish in the parent would only raise again.
-        raise
-    except (CExplorerError, IndexError, KeyError, RuntimeError):
-        engine.stats.count("full_query_fallbacks")
-    if algorithm == "k-truss":
-        return truss_community_search(graph, q0, k,
-                                      truss={e: k for e in strong})
-    return attributed_truss_search(graph, q, k, keywords=keywords,
-                                   base_edges=strong)
-
-
-def sharded_search(engine, name, algorithm, q, k, keywords=None):
-    """Run one shardable community search; results are identical to
-    the unsharded path (the equivalence the tests prove).
-
-    ``global``: the merged component *is* the answer.  ACQ family: the
-    merged component is the structural base; the keyword enumeration
-    (bounded by the community, not the graph) runs through the
-    whole-query worker pipeline against the frozen payload -- the
-    parent's merge only reconciles the cross-shard component -- with
-    the parent-side enumeration kept as the fallback.  Triangle
-    family (``k-truss``/``atc``): dispatched to
-    :func:`sharded_truss_search`, whose structural phase is the merged
-    global k-truss edge set.
-    """
-    if algorithm not in SHARDABLE_ALGORITHMS:
-        raise CExplorerError(
-            "algorithm {!r} does not support sharded execution"
-            .format(algorithm))
-    if algorithm in TRUSS_FAMILY:
-        return sharded_truss_search(engine, name, algorithm, q, k,
-                                    keywords=keywords)
-    if k < 0:
-        raise QueryError("degree constraint k must be >= 0")
-    graph = engine.indexes.graph(name)
-    q0 = q if isinstance(q, int) else tuple(q)[0]
-    component = sharded_structural_community(engine, name, q0, k)
-    if algorithm == "global":
-        if component is None:
-            return []
-        return [Community(graph, component, method="Global",
-                          query_vertices=(q0,), k=k)]
-    variant = "dec" if algorithm == "acq" else algorithm[len("acq-"):]
-    if component is not None:
-        try:
-            return worker_finish(
-                engine, name, algorithm, q, k, keywords,
-                ("component", tuple(sorted(component))))
-        except (QueryTimeoutError, QueryCancelledError):
-            raise
-        except QueryError:
-            # Validation errors (bad keywords, foreign vertices) are
-            # identical either way; surface them directly.
-            raise
-        except (CExplorerError, IndexError, KeyError, RuntimeError):
-            engine.stats.count("full_query_fallbacks")
-    shim = FixedBaseIndex(graph, q0, k, component)
-    return acq_search(graph, q, k, keywords=keywords,
-                      algorithm=variant, index=shim)
+ShardedIndexManager = IndexManager

@@ -59,10 +59,17 @@ INDEX_HTML = """<!DOCTYPE html>
  <div id="analysis"></div>
 </div>
 <script>
+function unwrap(r) {
+  return r.json().then(function (doc) {
+    if (!doc.ok) { throw new Error(doc.error.message); }
+    return doc.data;
+  });
+}
 function api(path, params) {
-  return fetch(path, {method: 'POST', body: JSON.stringify(params || {}),
-                      headers: {'Content-Type': 'application/json'}})
-         .then(function (r) { return r.json(); });
+  return fetch('/v1/' + path,
+               {method: 'POST', body: JSON.stringify(params || {}),
+                headers: {'Content-Type': 'application/json'}})
+         .then(unwrap);
 }
 function show(which) {
   document.getElementById('panel-explore').style.display =
@@ -71,8 +78,7 @@ function show(which) {
     which === 'analysis' ? '' : 'none';
 }
 function loadAlgorithms() {
-  fetch('/api/algorithms').then(function (r) { return r.json(); })
-  .then(function (d) {
+  fetch('/v1/algorithms').then(unwrap).then(function (d) {
     var sel = document.getElementById('algo');
     d.cs.forEach(function (name) {
       var o = document.createElement('option');
@@ -83,7 +89,7 @@ function loadAlgorithms() {
   });
 }
 function loadKeywords() {
-  api('/api/options', {vertex: document.getElementById('name').value})
+  api('options', {vertex: document.getElementById('name').value})
   .then(function (d) {
     var div = document.getElementById('keywords');
     div.innerHTML = '';
@@ -103,13 +109,12 @@ function selectedKeywords() {
   return out.length ? out : null;
 }
 function search() {
-  api('/api/search', {
+  api('search', {
     vertex: document.getElementById('name').value,
     k: parseInt(document.getElementById('k').value, 10),
     algorithm: document.getElementById('algo').value,
     keywords: selectedKeywords()
   }).then(function (d) {
-    if (d.error) { alert(d.error); return; }
     var nav = document.getElementById('communities');
     nav.textContent = 'Communities: ';
     d.communities.forEach(function (c, i) {
@@ -120,13 +125,13 @@ function search() {
     });
     window._last = d;
     if (d.communities.length) { view(0); }
-  });
+  }).catch(function (e) { alert(e.message); });
 }
 function view(i) {
   var c = window._last.communities[i];
   document.getElementById('theme').textContent =
     c.theme.length ? 'Theme: ' + c.theme.join(', ') : '';
-  api('/api/display', {
+  api('display', {
     vertex: window._last.query.vertex, k: window._last.query.k,
     algorithm: window._last.query.algorithm,
     keywords: window._last.query.keywords, community: i
@@ -135,7 +140,7 @@ function view(i) {
   });
 }
 function compare() {
-  api('/api/compare', {
+  api('compare', {
     vertex: document.getElementById('aname').value,
     k: parseInt(document.getElementById('ak').value, 10)
   }).then(function (d) {

@@ -40,7 +40,7 @@ def dblp_medium():
 @pytest.fixture
 def fault_plan():
     """Factory: a seeded fault-injection plan from a spec string
-    (``'seed=7;kill:shard@0.05'`` -- see repro.engine.faults), ready
+    (``'seed=7;kill:full_query@0.05'`` -- see repro.engine.faults), ready
     to hand to ``CExplorer(faults=...)`` / ``QueryEngine(faults=...)``.
     """
     from repro.engine.faults import FaultPlan
@@ -57,6 +57,20 @@ def build_graph(n, edge_pairs, keyword_map=None):
         if u != v and not g.has_edge(u, v):
             g.add_edge(u, v)
     return g
+
+
+def disconnected_graph(copies=3):
+    """``copies`` disjoint karate clubs: a graph whose per-component
+    detection fans out as one job per copy (test helper)."""
+    graph = AttributedGraph()
+    base = karate_club_graph()
+    for c in range(copies):
+        offset = c * base.vertex_count
+        for v in base.vertices():
+            graph.add_vertex("c{}-{}".format(c, v), base.keywords(v))
+        for u, v in base.edges():
+            graph.add_edge(u + offset, v + offset)
+    return graph
 
 
 @st.composite

@@ -3,13 +3,8 @@
 The load-bearing invariants:
 
 * **equivalence** -- the process backend returns results identical to
-  the thread backend (and therefore to unsharded execution: the
-  sharding suite proves that leg) for every shardable algorithm,
-  shards in {2, 4}, keywords or not, property-tested over random
-  graphs;
-* **payload lifecycle** -- shard snapshots are serialised once per
-  (graph, version, shard) and invalidated exactly when maintenance
-  bumps the shard version, so process results track mutations;
+  the thread backend, keywords or not, property-tested over random
+  graphs, and process results track maintenance updates;
 * **index builds** -- eager/background CL-tree builds route through
   the process pool and install snapshots equivalent to local builds;
 * **fallback** -- a thread-backend engine runs process-style jobs
@@ -24,7 +19,7 @@ from repro.engine.backends import (
     BACKENDS,
     ProcessBackend,
     build_index_job,
-    shard_candidates_job,
+    shard_full_query_job,
     validate_backend,
 )
 from repro.core.kcore import core_decomposition
@@ -79,20 +74,6 @@ class TestBackendConfig:
 # job functions (in-process: they are plain picklable functions)
 # ----------------------------------------------------------------------
 class TestJobFunctions:
-    def test_shard_candidates_job_matches_manager(self, karate):
-        explorer = CExplorer()
-        explorer.add_graph("k", karate, shards=2, partitioner="greedy")
-        indexes = explorer.indexes
-        for k in (1, 2, 3):
-            for shard in range(2):
-                report = indexes.shard_candidates("k", shard, k)
-                payload, _ = indexes.shard_payload("k", shard)
-                certified, uncertain, dropped = shard_candidates_job(
-                    payload.key, payload.blob, k)
-                assert set(certified) == report.certified
-                assert dict(uncertain) == report.uncertain
-                assert sorted(dropped) == sorted(report.dropped)
-
     def test_build_index_job_matches_local_build(self, karate):
         from repro.core.cltree import build_cltree
         frozen = freeze(karate)
@@ -106,72 +87,28 @@ class TestJobFunctions:
 
 
 # ----------------------------------------------------------------------
-# payload lifecycle
-# ----------------------------------------------------------------------
-class TestShardPayloads:
-    def test_payload_cached_per_version(self, karate):
-        explorer = CExplorer()
-        explorer.add_graph("k", karate, shards=2)
-        indexes = explorer.indexes
-        payload, fresh = indexes.shard_payload("k", 0)
-        assert fresh
-        again, fresh = indexes.shard_payload("k", 0)
-        assert not fresh
-        assert again is payload
-
-    def test_maintenance_invalidates_owner_payload_only(self, karate):
-        explorer = CExplorer()
-        explorer.add_graph("k", karate, shards=2)
-        indexes = explorer.indexes
-        maintainer = explorer.maintainer()
-        part = indexes.partition("k")
-        for shard in range(2):
-            indexes.shard_payload("k", shard)
-        u, v = next(
-            (u, v) for u in karate.vertices() for v in karate.vertices()
-            if u < v and not karate.has_edge(u, v)
-            and part.owner(u) == part.owner(v))
-        owner = part.owner(u)
-        maintainer.insert_edge(u, v)
-        _, fresh_owner = indexes.shard_payload("k", owner)
-        _, fresh_other = indexes.shard_payload("k", 1 - owner)
-        assert fresh_owner            # version bumped: rebuilt
-        assert not fresh_other        # untouched shard: cache hit
-
-    def test_unregister_drops_payloads(self, karate):
-        explorer = CExplorer()
-        explorer.add_graph("k", karate, shards=2)
-        explorer.indexes.shard_payload("k", 0)
-        explorer.indexes.unregister("k")
-        assert explorer.indexes._payloads == {}
-
-
-# ----------------------------------------------------------------------
 # end-to-end equivalence
 # ----------------------------------------------------------------------
 class TestProcessBackendEquivalence:
-    def test_sharded_process_equals_thread(self, dblp_small):
+    def test_process_equals_thread(self, dblp_small):
         plain = CExplorer()
         plain.add_graph("g", dblp_small)
         jim = dblp_small.id_of("Jim Gray")
         queries = [(jim, 2), (jim, 3), (17, 2), (0, 99)]
-        for shards in (2, 4):
-            proc = CExplorer(workers=2, backend="process")
-            proc.add_graph("g", dblp_small, shards=shards,
-                           partitioner="greedy")
-            _equivalent(plain, proc, queries)
-            # The fan-out really ran in the pool: no fallbacks, and
-            # per-shard stats were recorded.
-            assert proc.engine.stats.get("process_fallbacks") == 0
-            assert proc.engine.stats.get("shard_fallbacks") == 0
-            assert "g" in proc.engine.stats.snapshot()["sharding"]
-            proc.engine.shutdown()
+        proc = CExplorer(workers=2, backend="process")
+        proc.add_graph("g", dblp_small)
+        _equivalent(plain, proc, queries)
+        # The queries really ran in the pool: no fallbacks.
+        assert proc.engine.stats.get("process_fallbacks") == 0
+        assert proc.engine.stats.get("full_query_fallbacks") == 0
+        assert proc.engine.stats.get("worker_full_query") > 0
+        proc.engine.shutdown()
 
     def test_keywords_and_variants(self, dblp_small):
         plain = CExplorer()
         plain.add_graph("g", dblp_small)
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("g", dblp_small, shards=4, partitioner="greedy")
+        proc.add_graph("g", dblp_small)
         jim = dblp_small.id_of("Jim Gray")
         keywords = set(sorted(dblp_small.keywords(jim))[:2])
         for algorithm in ("acq", "acq-inc-s", "acq-inc-t"):
@@ -186,13 +123,13 @@ class TestProcessBackendEquivalence:
         plain = CExplorer()
         plain.add_graph("g", graph)
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("g", graph, shards=2)
+        proc.add_graph("g", graph)
         try:
             core = core_decomposition(graph)
             queries = [(v, min(core[v], 2)) for v in
                        list(graph.vertices())[:3]]
             _equivalent(plain, proc, queries)
-            assert proc.engine.stats.get("shard_fallbacks") == 0
+            assert proc.engine.stats.get("full_query_fallbacks") == 0
         finally:
             proc.engine.shutdown()
 
@@ -200,7 +137,7 @@ class TestProcessBackendEquivalence:
         plain = CExplorer()
         plain.add_graph("k", karate.copy())
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("k", karate.copy(), shards=2)
+        proc.add_graph("k", karate.copy())
         mp_, mt = plain.maintainer(), proc.maintainer()
         for u, v in ((0, 9), (4, 12), (33, 9)):
             if proc.indexes.graph("k").has_edge(u, v):
@@ -216,7 +153,7 @@ class TestProcessBackendEquivalence:
         plain = CExplorer()
         plain.add_graph("g", dblp_small, build="eager")
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("g", dblp_small, build="eager", shards=2)
+        proc.add_graph("g", dblp_small, build="eager")
         assert proc.indexes.built("g")
         jim = dblp_small.id_of("Jim Gray")
         assert proc.search("acq", jim, k=3) == \
@@ -232,18 +169,17 @@ class TestProcessBackendEquivalence:
 class TestFallbacks:
     def test_thread_engine_runs_jobs_inline(self, karate):
         explorer = CExplorer()           # thread backend
-        explorer.add_graph("k", karate, shards=2)
-        indexes = explorer.indexes
-        payload, _ = indexes.shard_payload("k", 0)
+        explorer.add_graph("k", karate)
+        payload, _ = explorer.indexes.full_payload("k")
         results = explorer.engine.map_shard_jobs(
-            [(shard_candidates_job, (payload.key, payload.blob, 2))])
-        certified, uncertain, dropped = results[0]
-        report = indexes.shard_candidates("k", 0, 2)
-        assert set(certified) == report.certified
+            [(shard_full_query_job,
+              (payload.key, payload.blob, "global", 0, 2))])
+        assert results[0] == [c.to_wire() for c in
+                              explorer.search("global", 0, k=2)]
 
     def test_broken_pool_falls_back_inline(self, karate):
         proc = CExplorer(workers=2, backend="process")
-        proc.add_graph("k", karate, shards=2)
+        proc.add_graph("k", karate)
         # Sabotage the pool: close it so the next fan-out breaks and
         # the engine degrades to inline execution.
         proc.engine._process.close()

@@ -73,16 +73,13 @@ def test_pack_unpack_full_payload(dblp_small):
     assert out._sidecar is None
 
 
-def test_pack_unpack_shard_extras(dblp_small):
+def test_pack_layout_keeps_reserved_slot(dblp_small):
+    """The RPP2 layout keeps its third slot (a pickled ``None``), so
+    stored ``frozen.bin`` files from earlier releases still load."""
     frozen = freeze(dblp_small)
-    extras = (tuple(range(frozen.vertex_count)),
-              [frozen.degree(v) for v in frozen.vertices()])
-    buf = memoryview(b"".join(
-        payload_plane.pack_payload(frozen, extras=extras)))
-    out, old_ids, degrees = payload_plane.unpack_payload(buf, key="t")
-    assert old_ids == extras[0]
-    assert degrees == extras[1]
-    assert _csr_lists(out) == _csr_lists(frozen)
+    header, _, _, reserved, _ = payload_plane.pack_payload(frozen)
+    assert header[:4] == b"RPP2"
+    assert pickle.loads(reserved) is None
 
 
 def test_unpack_rejects_torn_buffer(dblp_small):
@@ -178,11 +175,9 @@ def _answers(explorer, vertices):
     return out
 
 
-@pytest.mark.parametrize("shards", (1, 2, 4))
-def test_process_transport_equivalence(transport_mode, dblp_small,
-                                       shards):
-    """Sharded and unsharded process execution returns identical
-    communities on every rung of the transport ladder."""
+def test_process_transport_equivalence(transport_mode, dblp_small):
+    """Process execution returns identical communities on every rung
+    of the transport ladder."""
     vertices = [dblp_small.label(v) for v in (10, 25)]
     results = {}
     for transport in TRANSPORTS:
@@ -192,8 +187,7 @@ def test_process_transport_equivalence(transport_mode, dblp_small,
         failures = payload_plane.plane_stats()["attach_failures"]
         explorer = CExplorer(workers=2, backend="process")
         try:
-            explorer.add_graph("g", dblp_small, shards=shards,
-                               partitioner="greedy")
+            explorer.add_graph("g", dblp_small)
             results[transport] = _answers(explorer, vertices)
             if transport == "shm":
                 stats = explorer.engine.snapshot()["payloads"]
@@ -213,8 +207,10 @@ def test_thread_backend_equivalence(transport_mode, dblp_small):
         transport_mode(transport)
         explorer = CExplorer(workers=2, backend="thread")
         try:
-            explorer.add_graph("g", dblp_small, shards=2,
-                               partitioner="greedy")
+            explorer.add_graph("g", dblp_small)
+            # A cached payload routes searches onto the frozen
+            # whole-query pipeline.
+            explorer.indexes.full_payload("g")
             results[transport] = _answers(explorer, vertices)
         finally:
             explorer.engine.shutdown()
@@ -224,14 +220,11 @@ def test_thread_backend_equivalence(transport_mode, dblp_small):
 def test_invalidate_releases_segments(transport_mode, dblp_small):
     explorer = CExplorer(workers=2, backend="process")
     try:
-        explorer.add_graph("g", dblp_small, shards=2,
-                           partitioner="greedy")
+        explorer.add_graph("g", dblp_small)
         explorer.search("acq", dblp_small.label(10), k=4,
                         use_cache=False)
         held = payload_plane.live_segments()
         assert held > 0
-        for entry in explorer.indexes.shard_names("g"):
-            explorer.indexes.invalidate(entry)
         explorer.indexes.invalidate("g")
         assert payload_plane.live_segments() < held
     finally:
@@ -241,11 +234,12 @@ def test_invalidate_releases_segments(transport_mode, dblp_small):
 
 def test_segment_loss_chaos_recovers(transport_mode, dblp_small):
     """The ``segment_loss`` fault unlinks a published segment while
-    its ref is in flight.  Each query runs against freshly published
-    segments (shard entries invalidated between queries), so a loss
-    is a genuine torn attachment -- the worker's attach fails, the
-    payload is quarantined (the next fan-out re-publishes), and the
-    query falls back to the exact serial path.  Answers must match
+    its ref is in flight.  Each query runs against a freshly published
+    segment (the graph is invalidated between queries), so a loss is
+    a genuine torn attachment -- the worker's attach fails, the
+    payload is quarantined, and the query re-runs from a re-frozen,
+    re-published payload.  The plan loses that one too, so the first
+    query falls back to the inline path.  Answers must match
     fault-free ones and nothing may leak."""
     vertices = [dblp_small.label(v) for v in (10, 25, 40)]
 
@@ -253,12 +247,10 @@ def test_segment_loss_chaos_recovers(transport_mode, dblp_small):
         explorer = CExplorer(workers=2, backend="process",
                              faults=faults)
         try:
-            explorer.add_graph("g", dblp_small, shards=2,
-                               partitioner="greedy")
+            explorer.add_graph("g", dblp_small)
             answers = []
             for v in vertices:
-                for entry in explorer.indexes.shard_names("g"):
-                    explorer.indexes.invalidate(entry)
+                explorer.indexes.invalidate("g")
                 answers.append(explorer.search("acq", v, k=4,
                                                use_cache=False))
             return answers, explorer.engine.snapshot()
@@ -267,11 +259,12 @@ def test_segment_loss_chaos_recovers(transport_mode, dblp_small):
 
     clean, _ = run(None)
     chaotic, snap = run(
-        FaultPlan.from_spec("seed=11;segment_loss:shard@0.5"))
+        FaultPlan.from_spec("seed=11;segment_loss:full_query@1.0#2"))
     assert chaotic == clean
     counters = snap["resilience"]["counters"]
-    assert counters["faults_injected"] > 0
+    assert counters["faults_injected"] == 2
     assert counters["quarantines"] >= 1
+    assert snap["counters"]["full_query_fallbacks"] == 1
     assert payload_plane.live_segments() == 0
 
 

@@ -39,6 +39,8 @@ from repro.util.errors import (
     WorkerKilledError,
 )
 
+from conftest import disconnected_graph
+
 VERTICES = ("jim gray", "michael stonebraker", "michael l. brodie",
             "bruce g. lindsay", "gerhard weikum")
 
@@ -53,9 +55,9 @@ def _graph():
     return _GRAPH
 
 
-def _explorer(shards=1, backend="thread", **kwargs):
+def _explorer(backend="thread", **kwargs):
     explorer = CExplorer(backend=backend, **kwargs)
-    explorer.add_graph("dblp", _graph(), shards=shards)
+    explorer.add_graph("dblp", _graph())
     return explorer
 
 
@@ -172,7 +174,6 @@ class TestRetryPolicy:
                           for n in range(1, 6)]
 
     def test_job_class_policies(self):
-        assert POLICIES["shard"].hedge
         assert POLICIES["full_query"].hedge
         assert not POLICIES["full_query_batch"].hedge
         assert not POLICIES["detect"].hedge
@@ -249,8 +250,7 @@ class TestWorkerDeadlines:
         pool = backends.ProcessBackend(workers=1)
         try:
             future = pool.submit_job(backends.shard_full_query_job,
-                                     ("k", b"x", "acq", "v", 4, None,
-                                      None),
+                                     ("k", b"x", "acq", "v", 4, None),
                                      deadline=time.time() - 1.0)
             with pytest.raises(QueryTimeoutError):
                 pool.job_result(future, 10.0)
@@ -264,16 +264,22 @@ class TestWorkerDeadlines:
 
 class TestRetryAbsorption:
     def test_thread_fanout_retries_injected_kills(self):
-        baseline = _explorer(shards=2)
-        expected = [_canon(baseline.search("acq", v, k=3))
-                    for v in VERTICES]
-        # every shard job's first attempt dies; retries absorb all
-        chaotic = _explorer(
-            shards=2,
-            faults=FaultPlan.from_spec("seed=1;kill:shard@1.0#4"))
-        got = [_canon(chaotic.search("acq", v, k=3))
-               for v in VERTICES]
-        assert got == expected
+        def detect(explorer):
+            # One per-component job per karate copy, fanned out over
+            # the thread pool.
+            return [_canon(explorer.detect("label-propagation",
+                                           per_component=True,
+                                           seed=seed))
+                    for seed in (3, 4)]
+
+        baseline = CExplorer()
+        baseline.add_graph("g", disconnected_graph())
+        expected = detect(baseline)
+        # the first four component jobs die; retries absorb all
+        chaotic = CExplorer(
+            faults=FaultPlan.from_spec("seed=1;kill:detect@1.0#4"))
+        chaotic.add_graph("g", disconnected_graph())
+        assert detect(chaotic) == expected
         counters = _resilience(chaotic)["counters"]
         assert counters["retries"] >= 4
         assert counters["faults_injected"] == 4
@@ -304,7 +310,7 @@ class TestRetryAbsorption:
 
         # attempt 1 dies to the injected fault *before* the job body;
         # the retry drops the (one-shot) fault and succeeds
-        results, _ = engine.map_shards([job], op="fanout")
+        results = engine.map_shards([job], op="fanout")
         assert results == ["ok"]
         assert len(runs) == 1
         assert _resilience(explorer)["counters"]["retries"] >= 1
@@ -494,35 +500,39 @@ class TestBatchMemberIsolation:
 
 class TestChaosProperty:
     def test_seeded_kill_plan_preserves_results_no_hung_futures(self):
-        baseline = _explorer(shards=2)
+        baseline = _explorer()
         queries = [("acq", v, k) for v in VERTICES for k in (3, 4)] * 2
         expected = [_canon(baseline.search(a, v, k=k))
                     for a, v, k in queries]
         chaotic = _explorer(
-            shards=2,
+            backend="process",
             faults=FaultPlan.from_spec(
-                "seed=13;kill:shard@0.05;delay:shard@0.05=0.005"))
+                "seed=13;kill:full_query@0.05;"
+                "delay:full_query@0.05=0.005"))
         engine = chaotic.engine
-        futures = [engine.search(a, v, k=k, timeout=30.0)
-                   for a, v, k in queries]
-        identical = 0
-        failures = []
-        for future, want in zip(futures, expected):
-            try:
-                got = _canon(future.result(30.0))
-            except CExplorerError as exc:
-                failures.append(exc)
-            else:
-                identical += got == want
-        # every future resolved one way or the other: nothing hangs
-        assert all(f.done() for f in futures)
-        assert identical / len(queries) >= 0.99
-        for exc in failures:
-            assert isinstance(exc, (WorkerKilledError,
-                                    QueryTimeoutError))
-        doc = _resilience(chaotic)
-        assert doc["fault_plan"]["injected"]
-        assert doc["counters"]["faults_injected"] > 0
+        try:
+            futures = [engine.search(a, v, k=k, timeout=30.0)
+                       for a, v, k in queries]
+            identical = 0
+            failures = []
+            for future, want in zip(futures, expected):
+                try:
+                    got = _canon(future.result(30.0))
+                except CExplorerError as exc:
+                    failures.append(exc)
+                else:
+                    identical += got == want
+            # every future resolved one way or the other: nothing hangs
+            assert all(f.done() for f in futures)
+            assert identical / len(queries) >= 0.99
+            for exc in failures:
+                assert isinstance(exc, (WorkerKilledError,
+                                        QueryTimeoutError))
+            doc = _resilience(chaotic)
+            assert doc["fault_plan"]["injected"]
+            assert doc["counters"]["faults_injected"] > 0
+        finally:
+            engine.shutdown()
 
 
 # ----------------------------------------------------------------------

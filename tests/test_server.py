@@ -53,6 +53,14 @@ class TestStaticEndpoints:
         assert "C-Explorer" in body
         assert "Search" in body
 
+    def test_index_page_calls_v1_only(self, server):
+        """The browser page talks to the versioned API, not the
+        deprecated ``/api/*`` shim."""
+        with urllib.request.urlopen(_url(server, "/")) as resp:
+            body = resp.read().decode("utf-8")
+        assert "/api/" not in body
+        assert "/v1/" in body
+
     def test_algorithms(self, server):
         status, doc = _get(server, "/api/algorithms")
         assert status == 200
@@ -172,8 +180,7 @@ class TestQueryEndpoints:
         status, doc = _post(server, "/api/upload", {"path": path,
                                                     "name": "fig5"})
         assert status == 200
-        assert doc == {"name": "fig5", "vertices": 10, "edges": 11,
-                       "shards": 1}
+        assert doc == {"name": "fig5", "vertices": 10, "edges": 11}
         # Restore the dblp graph as active for other tests.
         server.explorer.select_graph("dblp")
 
