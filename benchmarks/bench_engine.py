@@ -499,40 +499,52 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
 
 
 def test_concurrent_serving(benchmark, dblp, quick):
-    """The serving acceptance shape: the asyncio front-end with
-    cross-query batching answers a concurrent overlapping workload
-    >= 1.5x faster than the thread-per-request baseline.
+    """The serving acceptance shape: the threaded server answers a
+    concurrent overlapping workload with one execution per round, and
+    >= 1.5x faster than running the same requests as direct uncached
+    searches.
 
-    The workload is the thundering herd the batcher exists for: in
-    each round, every client POSTs the same ``/v1/search`` at the
-    same instant (a barrier), so none of them can be saved by the
-    result cache -- the baseline pays one full search per client,
-    the batched server one per round.  Both variants run over real
-    HTTP against a fresh explorer; responses must be identical.
+    The workload is the thundering herd single-flight dedup exists
+    for: in each round, every client POSTs the same ``/v1/search`` at
+    the same instant (a barrier), so none of them can be saved by the
+    result cache -- the direct baseline pays one full search per
+    request, the server one per round.  Responses must be identical
+    to the direct answers.
     """
     import json as _json
     import threading
     import urllib.request
 
     from repro.server.app import make_server
-    from repro.server.async_app import make_async_server
 
     clients = 4 if quick else 8
     rounds = 2 if quick else 4
     pool = pick_query_vertices(dblp, K, rounds, seed=41)
 
-    def run_variant(kind):
+    def canon(communities):
+        return _json.dumps(communities, sort_keys=True)
+
+    def run_direct():
+        explorer = CExplorer(workers=2)
+        explorer.add_graph("dblp", dblp, build="eager")
+        answers = [[] for _ in range(clients)]
+        start = time.perf_counter()
+        for q in pool:
+            for i in range(clients):
+                answers[i].append(canon([
+                    c.to_dict() for c in explorer.search(
+                        "acq", q, k=K, use_cache=False)]))
+        seconds = time.perf_counter() - start
+        explorer.engine.shutdown()
+        return seconds, answers
+
+    def run_served():
         explorer = CExplorer(workers=2,
                              max_queue=clients * rounds + 8)
         explorer.add_graph("dblp", dblp, build="eager")
-        if kind == "async_batched":
-            server = make_async_server(explorer, port=0,
-                                       batch_window=0.02)
-            server.start_background()
-        else:
-            server = make_server(explorer, port=0)  # batching off
-            threading.Thread(target=server.serve_forever,
-                             daemon=True).start()
+        server = make_server(explorer, port=0)
+        threading.Thread(target=server.serve_forever,
+                         daemon=True).start()
         base = "http://127.0.0.1:{}".format(server.server_address[1])
         barrier = threading.Barrier(clients + 1)
         answers = [[] for _ in range(clients)]
@@ -546,8 +558,7 @@ def test_concurrent_serving(benchmark, dblp, quick):
                     headers={"Content-Type": "application/json"})
                 with urllib.request.urlopen(req, timeout=120) as resp:
                     doc = _json.loads(resp.read())
-                answers[i].append(_json.dumps(
-                    doc["data"]["communities"], sort_keys=True))
+                answers[i].append(canon(doc["data"]["communities"]))
 
         threads = [threading.Thread(target=client, args=(i,))
                    for i in range(clients)]
@@ -559,35 +570,38 @@ def test_concurrent_serving(benchmark, dblp, quick):
         for t in threads:
             t.join()
         seconds = time.perf_counter() - start
-        stats = explorer.engine.stats
-        shared = stats.get("shared_answers")
-        batches = stats.get("batches")
+        snapshot = explorer.engine.snapshot()
         try:
             server.shutdown()
         finally:
             explorer.engine.shutdown()
-        return seconds, answers, {"shared_answers": shared,
-                                  "batches": batches}
+        return seconds, answers, {
+            "shared_answers": snapshot["counters"].get(
+                "shared_answers", 0),
+            "executions": snapshot["latency"]["search"]["count"],
+        }
 
     def run():
-        baseline_s, baseline_out, _ = run_variant("thread_per_request")
-        batched_s, batched_out, stats = run_variant("async_batched")
-        assert baseline_out == batched_out
+        direct_s, direct_out = run_direct()
+        served_s, served_out, stats = run_served()
+        assert direct_out == served_out
         return {
             "clients": clients,
             "rounds": rounds,
             "requests": clients * rounds,
-            "thread_per_request_seconds": round(baseline_s, 6),
-            "async_batched_seconds": round(batched_s, 6),
-            "speedup": round(baseline_s / batched_s, 2) if batched_s
+            "direct_uncached_seconds": round(direct_s, 6),
+            "served_seconds": round(served_s, 6),
+            "speedup": round(direct_s / served_s, 2) if served_s
             else float("inf"),
-            "batching": stats,
+            "single_flight": stats,
         }
 
     doc = benchmark.pedantic(run, rounds=1, iterations=1)
-    # The batcher really coalesced the herd: most answers were shared
-    # from a leader's execution rather than recomputed.
-    assert doc["batching"]["shared_answers"] >= \
+    # Single-flight really coalesced the herd: one execution per
+    # round, and most answers shared from a leader's execution rather
+    # than recomputed (the rest were cache hits).
+    assert doc["single_flight"]["executions"] == rounds, doc
+    assert doc["single_flight"]["shared_answers"] >= \
         (clients - 1) * rounds // 2, doc
     # The acceptance floor: >= 1.5x serving throughput for >= 8
     # concurrent overlapping clients.  The quick pool is too small to
@@ -601,10 +615,10 @@ def test_concurrent_serving(benchmark, dblp, quick):
         "clients": clients,
         "rounds": rounds,
         "seconds": {
-            "thread_per_request": doc["thread_per_request_seconds"],
-            "async_batched": doc["async_batched_seconds"],
+            "direct_uncached": doc["direct_uncached_seconds"],
+            "served": doc["served_seconds"],
         },
-        "shared_answers": doc["batching"]["shared_answers"],
+        "shared_answers": doc["single_flight"]["shared_answers"],
         "speedup": doc["speedup"],
     }, quick=quick)
 

@@ -31,29 +31,29 @@ def _post(server, path, doc):
         url, data=json.dumps(doc).encode("utf-8"),
         headers={"Content-Type": "application/json"})
     with urllib.request.urlopen(req) as resp:
-        return json.loads(resp.read())
+        return json.loads(resp.read())["data"]
 
 
 def test_server_search_roundtrip(benchmark, live_server):
-    doc = benchmark(_post, live_server, "/api/search",
+    doc = benchmark(_post, live_server, "/v1/search",
                     {"vertex": "jim gray", "k": 4})
     assert doc["communities"]
 
 
 def test_server_display_roundtrip(benchmark, live_server):
-    doc = benchmark(_post, live_server, "/api/display",
+    doc = benchmark(_post, live_server, "/v1/display",
                     {"vertex": "jim gray", "k": 4, "community": 0})
     assert doc["svg"].startswith("<svg")
 
 
 def test_server_options_roundtrip(benchmark, live_server):
-    doc = benchmark(_post, live_server, "/api/options",
+    doc = benchmark(_post, live_server, "/v1/options",
                     {"vertex": "jim gray"})
     assert doc["keywords"]
 
 
 def test_server_profile_roundtrip(benchmark, live_server):
-    doc = benchmark(_post, live_server, "/api/profile",
+    doc = benchmark(_post, live_server, "/v1/profile",
                     {"vertex": "Jim Gray"})
     assert doc["name"] == "Jim Gray"
 
@@ -65,7 +65,7 @@ def test_server_instant_claim(benchmark, live_server):
 
     def timed():
         start = time.perf_counter()
-        _post(live_server, "/api/search", {"vertex": "jim gray", "k": 4})
+        _post(live_server, "/v1/search", {"vertex": "jim gray", "k": 4})
         return time.perf_counter() - start
 
     elapsed = benchmark.pedantic(timed, rounds=5, iterations=1,

@@ -1,10 +1,8 @@
 #!/usr/bin/env python
 """API contract checker (the CI docs job).
 
-Boots both front-ends -- the threaded server and the asyncio one
-(cross-query batching on) -- over a small generated graph and
-validates the live surface against the ``/v1`` contract in
-``docs/API.md``:
+Boots the server over a small generated graph and validates the live
+surface against the ``/v1`` contract in ``docs/API.md``:
 
 * every ``/v1`` route in the route table answers, and every response
   wears the uniform envelope (``ok`` / ``data`` / ``error`` with the
@@ -13,9 +11,10 @@ validates the live surface against the ``/v1`` contract in
   ``routes.ERROR_CODES`` with exactly the status registered for it,
   and the error object carries ``code`` + ``message`` (plus
   ``retry: true`` only where documented);
-* every legacy ``/api/*`` shim route answers with the bare-document
-  body (no envelope), a ``Deprecation: true`` header, and a ``Link``
-  naming its ``/v1`` successor;
+* the retired ``/api/*`` paths answer 404 ``not_found`` in the
+  envelope;
+* a malformed ``Content-Length`` answers 400 ``bad_request`` and an
+  oversized one 413 ``payload_too_large``;
 * ``docs/API.md`` itself stays in sync: it must mention every ``/v1``
   route template and every error code (and no unregistered codes).
 
@@ -28,7 +27,9 @@ Usage: python scripts/check_api_schema.py
 import json
 import os
 import re
+import socket
 import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -59,26 +60,38 @@ def _fetch(request):
             json.loads(err.read().decode("utf-8"))
 
 
-def boot(kind):
-    """A running (server, base_url) pair; kind is 'sync' or 'async'."""
+def boot():
+    """A running (server, base_url) pair."""
     from repro.datasets import DblpConfig, generate_dblp_graph
     from repro.explorer.cexplorer import CExplorer
+    from repro.server.app import make_server
 
     explorer = CExplorer(workers=2)
     explorer.add_graph("smoke", generate_dblp_graph(
         DblpConfig(n_authors=200, n_communities=6, seed=11)))
-    if kind == "async":
-        from repro.server.async_app import make_async_server
-        server = make_async_server(explorer, port=0)
-        server.start_background()
-    else:
-        import threading
-        from repro.server.app import make_server
-        server = make_server(explorer, port=0)
-        threading.Thread(target=server.serve_forever,
-                         daemon=True).start()
+    server = make_server(explorer, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
     return server, "http://{}:{}".format(host, port)
+
+
+def raw_post(base, content_length):
+    """(status, headers, parsed JSON body) for a POST /v1/search whose
+    ``Content-Length`` header is ``content_length`` and whose body is
+    empty -- what urllib cannot send."""
+    host, port = base[len("http://"):].split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall("POST /v1/search HTTP/1.1\r\nHost: {}\r\n"
+                     "Content-Length: {}\r\n\r\n"
+                     .format(host, content_length).encode("ascii"))
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), {}, json.loads(body.decode("utf-8"))
 
 
 def check_envelope(path, status, doc):
@@ -142,7 +155,7 @@ def expect_code(probes, name, got, want_code, want_status):
     return error.get("code")
 
 
-def check_server(base, kind):
+def check_server(base):
     """Probe one live server; yield problem strings."""
     problems = []
 
@@ -197,27 +210,18 @@ def check_server(base, kind):
         ("POST /v1/upload (bad path)",
          post(base, "/v1/upload", {"path": "/definitely/missing.txt"}),
          "bad_request", 400),
+        ("POST /v1/search (Content-Length: abc)", raw_post(base, "abc"),
+         "bad_request", 400),
+        ("POST /v1/search (Content-Length: 99999999999)",
+         raw_post(base, "99999999999"), "payload_too_large", 413),
+        ("GET /api/graphs (retired)", get(base, "/api/graphs"),
+         "not_found", 404),
+        ("POST /api/search (retired)",
+         post(base, "/api/search", {"vertex": "Jim Gray", "k": 3}),
+         "not_found", 404),
     )
     for name, got, code, status in cases:
         exercised.add(expect_code(problems, name, got, code, status))
-
-    # -- the legacy shim: bare bodies + deprecation headers ------------
-    status, headers, doc = get(base, "/api/graphs")
-    if status != 200 or "graphs" not in doc or "ok" in doc:
-        problems.append("/api/graphs: shim must serve the bare legacy "
-                        "document (got {})".format(sorted(doc)))
-    if headers.get("Deprecation") != "true":
-        problems.append("/api/graphs: missing Deprecation: true header")
-    link = headers.get("Link", "")
-    if "/v1/graphs" not in link or "successor-version" not in link:
-        problems.append("/api/graphs: Link header {!r} does not name "
-                        "the /v1 successor".format(link))
-    status, headers, doc = post(base, "/api/history",
-                                {"session": "none"})
-    if status != 400 or list(doc) != ["error"]:
-        problems.append("/api/history: legacy error must be HTTP 400 "
-                        "{{'error': msg}} (got {} {})".format(
-                            status, sorted(doc)))
 
     # -- template-bucketed request counters ----------------------------
     _, _, doc = get(base, "/v1/metrics")
@@ -231,7 +235,7 @@ def check_server(base, kind):
         problems.append("no '/v1/traces/{query_id}' counter bucket "
                         "after fetching a trace")
 
-    return ["[{}] {}".format(kind, p) for p in problems], exercised
+    return problems, exercised
 
 
 def check_docs(exercised):
@@ -273,24 +277,19 @@ def check_docs(exercised):
 
 
 def main(argv):
-    all_problems = []
-    exercised = set()
-    for kind in ("sync", "async"):
-        server, base = boot(kind)
-        try:
-            problems, codes = check_server(base, kind)
-        finally:
-            server.shutdown()
-        all_problems.extend(problems)
-        exercised |= codes
-    all_problems.extend(check_docs(exercised))
-    for problem in all_problems:
+    server, base = boot()
+    try:
+        problems, exercised = check_server(base)
+    finally:
+        server.shutdown()
+    problems.extend(check_docs(exercised))
+    for problem in problems:
         print("API: {}".format(problem))
-    if all_problems:
-        print("{} API contract problem(s)".format(len(all_problems)))
+    if problems:
+        print("{} API contract problem(s)".format(len(problems)))
         return 1
-    print("api ok: envelope + {} error codes validated on both "
-          "front-ends; docs/API.md in sync".format(len(exercised)))
+    print("api ok: envelope + {} error codes validated; docs/API.md in "
+          "sync".format(len(exercised)))
     return 0
 
 

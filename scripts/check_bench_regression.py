@@ -14,9 +14,9 @@ compute, which hold their meaning across pool sizes and runners:
   direct execution (higher is better);
 * ``truss_maintenance.warm_hit_rate.selective`` -- selective
   invalidation's warm hit rate (higher is better);
-* ``serving.speedup`` -- async+batched serving throughput vs the
-  thread-per-request baseline on the concurrent overlapping workload
-  (higher is better);
+* ``serving.speedup`` -- the threaded server (single-flight dedup)
+  on the concurrent overlapping workload vs the same requests run as
+  direct uncached searches (higher is better);
 * ``resilience.success_rate`` / ``resilience.identical_rate`` --
   queries answered, and answered byte-identically to the fault-free
   run, under the seeded 5% worker-kill plan (higher is better;
@@ -55,7 +55,7 @@ METRICS = (
     (("truss_maintenance", "warm_hit_rate", "selective"),
      "selective truss warm hit rate"),
     (("serving", "speedup"),
-     "async+batched serving speedup vs thread-per-request"),
+     "single-flight serving speedup vs direct"),
     (("resilience", "success_rate"),
      "query success rate under 5% worker-kill plan"),
     (("resilience", "identical_rate"),

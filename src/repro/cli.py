@@ -11,7 +11,6 @@ Subcommands mirror the paper's API (Figure 4) plus operational verbs::
     python -m repro cache    --store ./store
     python -m repro cache    --store ./store --clear
     python -m repro serve    --graph dblp.json --port 8080
-    python -m repro serve    --graph dblp.json --server async
     python -m repro trace    --graph dblp.json --vertex "jim gray"
     python -m repro trace    --url http://127.0.0.1:8080 --last 5
 
@@ -203,35 +202,18 @@ def _cmd_trace(args):
 def _cmd_serve(args):
     explorer = _load_explorer(args)
     explorer.index()
-    window = args.batch_window if args.batch_window >= 0 else None
-    if args.server == "async":
-        from repro.server.async_app import make_async_server
-
-        server = make_async_server(
-            explorer, host=args.host, port=args.port,
-            batch_window=window if window is not None else 0.005)
-        server.start_background()
-        host, port = server.server_address
-        print("C-Explorer serving on http://{}:{}/ (asyncio, "
-              "batch window {:.1f}ms)".format(
-                  host, port,
-                  (server.state.batcher.window * 1000)
-                  if server.state.batcher else 0.0))
-        try:
-            import time as _time
-            while True:
-                _time.sleep(3600)
-        except KeyboardInterrupt:
-            server.shutdown()
-        return 0
-    server = make_server(explorer, host=args.host, port=args.port,
-                         batch_window=window)
+    server = make_server(explorer, host=args.host, port=args.port)
     host, port = server.server_address
     print("C-Explorer serving on http://{}:{}/".format(host, port))
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        server.shutdown()
+        pass
+    finally:
+        # Stop accepting, then flush the engine: served results spill
+        # to --store and payload segments are released.
+        server.server_close()
+        explorer.engine.shutdown()
     return 0
 
 
@@ -362,21 +344,13 @@ def build_parser():
     common(p, with_vertex=False)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
-    p.add_argument("--server", default="sync",
-                   choices=["sync", "async"],
-                   help="'async' serves through the asyncio front-end "
-                        "with cross-query batching on (default sync)")
-    p.add_argument("--batch-window", type=float, default=-1.0,
-                   help="admission window in seconds for cross-query "
-                        "batching; negative (default) means off for "
-                        "--server sync and 0.005 for --server async")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "trace", help="print a waterfall of recent query traces")
     p.add_argument("--url",
                    help="base URL of a running server (reads its "
-                        "/api/traces endpoints)")
+                        "/v1/traces endpoints)")
     p.add_argument("--graph", help="edge-list or JSON graph file "
                                    "(local mode)")
     p.add_argument("--vertex", action="append",

@@ -10,8 +10,8 @@ The seed reproduction ran every ``/api/search`` inline on its HTTP
 handler thread with no result reuse and ad-hoc lazy index builds --
 fine for one user, hopeless for the ROADMAP's "heavy traffic from
 millions of users".  This package is the execution layer between the
-server and the algorithms; every later scaling step (an async
-server, a persistent cache) plugs into it.
+server and the algorithms; every later scaling step (single-flight
+dedup, a persistent cache) plugs into it.
 
 The modules
 ===========
@@ -49,9 +49,14 @@ The modules
     size, index readiness, and keyword constraints; powers the
     ``"algorithm": "auto"`` API.
 
+``batching``
+    :class:`~repro.engine.batching.SingleFlight`: concurrent identical
+    cache-missing searches share one execution, each caller holding
+    its own future.
+
 ``stats``
     :class:`~repro.engine.stats.EngineStats`: latency histograms
-    (p50/p95) and throughput counters behind ``/api/metrics``.
+    (p50/p95) and throughput counters behind ``/v1/metrics``.
 
 ``backends``
     Execution backends.  :class:`~repro.engine.backends.ProcessBackend`
@@ -75,7 +80,7 @@ index builds dominate.  Results are identical either way
 (a property-tested invariant); the process backend transparently
 falls back in-process on any pool failure, and its overheads are
 observable as ``snapshot_build`` / ``shard_ipc`` /
-``index_build_ipc`` latency ops in ``/api/metrics``::
+``index_build_ipc`` latency ops in ``/v1/metrics``::
 
     explorer = CExplorer(workers=4, backend="process")
     explorer.add_graph("dblp", generate_dblp_graph())

@@ -17,7 +17,6 @@ not parallelism.  This module adds the **process backend**:
   so the work units ship as top-level functions fed by
   :class:`~repro.graph.frozen.FrozenGraph` payloads:
   :func:`shard_full_query_job` (one whole community search),
-  :func:`batch_full_query_job` (a group of them),
   :func:`component_detect_job` (a detection, or one component's
   slice of it) and :func:`build_index_job` (a core + CL-tree build);
 * a small **worker-side payload cache** keyed by the payload's
@@ -34,7 +33,7 @@ traffic, or single-core hosts.  ``backend="process"``: whole queries
 and CL-tree builds run in separate processes on frozen CSR snapshots
 -- real parallelism for CPU-bound structural work on multi-core
 hosts, at the cost of payload shipping (measured and reported as
-``snapshot_build`` / ``shard_ipc`` in ``/api/metrics``).
+``snapshot_build`` / ``shard_ipc`` in ``/v1/metrics``).
 Results are identical either way (a tested invariant); every process
 failure falls back to in-process execution rather than failing the
 query.
@@ -273,47 +272,6 @@ def shard_full_query_job(key, payload, algorithm, q, k, keywords=None):
             result = get_cs_algorithm(algorithm)(frozen, q, k,
                                                  keywords=keywords)
     return [community.to_wire() for community in result]
-
-
-def batch_full_query_job(key, payload, specs, member_faults=None):
-    """Run a whole *group* of community searches in one worker job.
-
-    ``specs`` is a tuple of ``(algorithm, q, k, keywords)`` wire
-    specs, all against the same frozen whole-graph snapshot: one
-    payload ship, one worker-cache entry, every lazily built derived
-    structure (core numbers, CL-tree, truss map) shared across the
-    group -- the engine-side half of cross-query batching
-    (:mod:`repro.engine.batching`).  Each spec still runs the exact
-    :func:`shard_full_query_job` pipeline, so per-query results are
-    byte-identical to serial execution.
-
-    Returns one ``("ok", wire-form community list)`` or ``("error",
-    description)`` outcome per spec, in spec order: a member that
-    fails (bad data surviving planning, or an injected fault from
-    ``member_faults``) reports its own error instead of poisoning the
-    clique -- the batching layer retries it solo.  Deadline expiry is
-    the exception: it aborts the whole group, since every remaining
-    member's caller has already given up.
-    """
-    check_deadline()
-    answers = []
-    for i, (algorithm, q, k, keywords) in enumerate(specs):
-        check_deadline()
-        keywords = set(keywords) if keywords is not None else None
-        try:
-            fault_injection.apply_worker_actions(
-                member_faults[i] if member_faults else None)
-            with tracing.span("batch_member", algorithm=algorithm,
-                              k=k):
-                answers.append(("ok", shard_full_query_job(
-                    key, payload, algorithm, q, k,
-                    keywords=keywords)))
-        except QueryTimeoutError:
-            raise
-        except Exception as exc:
-            answers.append(("error", "{}: {}".format(
-                type(exc).__name__, exc)))
-    return answers
 
 
 def component_detect_job(key, payload, algorithm, component, params):

@@ -36,8 +36,10 @@ algorithms (the Polynesia argument in PAPERS.md):
   pool over frozen-graph payloads, dodging the GIL for CPU-bound
   structural work; any pool failure falls back to in-process
   execution with identical results;
+* **single-flight dedup** -- concurrent identical cache-missing
+  searches share one execution (:mod:`repro.engine.batching`);
 * :class:`~repro.engine.stats.EngineStats` latency histograms behind
-  ``/api/metrics``, including the process backend's
+  ``/v1/metrics``, including the process backend's
   ``snapshot_build`` / ``shard_ipc`` overheads.
 
 Synchronous callers (library users, the batch harness) use
@@ -69,7 +71,6 @@ from repro.engine.stats import EngineStats
 from repro.engine import tracing
 from repro.engine.tracing import TraceRecorder
 from repro.util.errors import (
-    BatchMemberError,
     CExplorerError,
     EngineBusyError,
     JobPayloadError,
@@ -91,7 +92,7 @@ class EngineFuture:
     queue needs admission control ``concurrent.futures`` lacks)."""
 
     __slots__ = ("_event", "_lock", "_state", "_value", "_exception",
-                 "trace")
+                 "_callbacks", "trace")
 
     def __init__(self):
         self._event = threading.Event()
@@ -99,6 +100,7 @@ class EngineFuture:
         self._state = _PENDING
         self._value = None
         self._exception = None
+        self._callbacks = []
         # The QueryTrace attached by the search path (None for plain
         # submissions or when tracing is disabled); the HTTP layer
         # reads it back to add the request-level span and return the
@@ -130,7 +132,7 @@ class EngineFuture:
                 return
             self._value = value
             self._state = _DONE
-        self._event.set()
+        self._finish()
 
     def set_exception(self, exc):
         """Resolve the future with an exception (no-op when
@@ -140,16 +142,32 @@ class EngineFuture:
                 return
             self._exception = exc
             self._state = _DONE
+        self._finish()
+
+    def _finish(self):
         self._event.set()
+        with self._lock:
+            callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(self)
 
     # -- caller side ----------------------------------------------------
+    def add_done_callback(self, fn):
+        """Call ``fn(future)`` once this future is done -- at once,
+        on the calling thread, when it already is."""
+        with self._lock:
+            if self._state in (_PENDING, _RUNNING):
+                self._callbacks.append(fn)
+                return
+        fn(self)
+
     def cancel(self):
         """Cancel if not yet running; returns whether it worked."""
         with self._lock:
             if self._state != _PENDING:
                 return False
             self._state = _CANCELLED
-        self._event.set()
+        self._finish()
         return True
 
     def cancelled(self):
@@ -224,8 +242,8 @@ def _engine_worker(engine_ref, work_queue):
             engine._run_job(job)
         finally:
             # Unbind before blocking on the next get(): a job whose
-            # fn is a bound method (batch groups) would otherwise
-            # keep the engine strongly reachable from this frame.
+            # fn is a bound method would otherwise keep the engine
+            # strongly reachable from this frame.
             del engine, job
 
 
@@ -263,6 +281,8 @@ class QueryEngine:
             self.cache.spill = payload_plane.ResultSpill(
                 store, self._graph_version, self._rebind_wires)
         self.stats = EngineStats()
+        from repro.engine.batching import SingleFlight
+        self.flights = SingleFlight(self.stats)
         # Fault injection (None in production unless REPRO_FAULT_PLAN
         # is set -- the CI chaos job's hook) and the resilience plane:
         # retry policies, substrate breakers, payload quarantine.
@@ -407,7 +427,12 @@ class QueryEngine:
         """Synchronous :meth:`submit`: block for the result, honouring
         the same deadline while waiting."""
         timeout = kwargs.get("timeout", self.default_timeout)
-        future = self.submit(fn, *args, **kwargs)
+        return self.wait(self.submit(fn, *args, **kwargs), timeout)
+
+    def wait(self, future, timeout):
+        """Block on ``future`` with deadline enforcement.  A timed-out
+        future is cancelled (a queued job nobody else waits for is
+        dropped without running) and counted."""
         try:
             return future.result(timeout)
         except QueryTimeoutError:
@@ -455,47 +480,57 @@ class QueryEngine:
         a warm interactive workload is never throttled by admission
         control.  Requires an attached explorer.
 
+        Cache misses are single-flight: concurrent calls with the same
+        result-cache key at the same index version share one
+        execution, each caller holding its own future (see
+        :mod:`repro.engine.batching`).  Calls that bypass the cache
+        (``use_cache=False`` or extra ``params``) always run alone.
+
         Cache misses record a :class:`~repro.engine.tracing.
         QueryTrace` (unless the recorder is disabled), attached to the
         returned future as ``future.trace`` and handed to the
-        executing worker through the job.  Cache *hits* deliberately
-        skip tracing: a hit is answered in microseconds and the full
-        trace lifecycle (allocation, locks, ring publish) would
-        multiply its cost -- and traces exist to attribute slow
-        queries, which a warm hit never is.  ``future.trace`` is
-        ``None`` on the hit path.
+        executing worker through the job; callers sharing a flight
+        share its trace.  Cache *hits* deliberately skip tracing: a
+        hit is answered in microseconds and the full trace lifecycle
+        (allocation, locks, ring publish) would multiply its cost --
+        and traces exist to attribute slow queries, which a warm hit
+        never is.  ``future.trace`` is ``None`` on the hit path.
         """
         explorer = self._require_explorer()
         probe_started = time.perf_counter()
-        cached = explorer.peek_cached(algorithm, vertex, k=k,
-                                      keywords=keywords, **params)
-        if cached is not None:
-            return EngineFuture.resolved(cached)
-        trace = self.tracer.begin("search", algorithm=algorithm,
-                                  vertex=str(vertex), k=k)
-        if trace is not None:
-            trace.tag(cache="miss")
-            # The pre-submit plan + cache probe, measured cheaply
-            # outside any trace context and attached post hoc.
-            trace.add_span("cache_lookup",
-                           time.perf_counter() - probe_started,
-                           parent=None, tags={"hit": False})
-        return self.submit(explorer.search, algorithm, vertex, k=k,
-                           keywords=keywords, op="search",
-                           timeout=timeout, trace=trace, **params)
+        key = explorer.search_key(algorithm, vertex, k=k,
+                                  keywords=keywords, **params)
+        if key is not None:
+            cached = explorer.cache.get(key, record_miss=False)
+            if cached is not None:
+                return EngineFuture.resolved(cached)
+
+        def start():
+            trace = self.tracer.begin("search", algorithm=algorithm,
+                                      vertex=str(vertex), k=k)
+            if trace is not None:
+                trace.tag(cache="miss")
+                # The pre-submit plan + cache probe, measured cheaply
+                # outside any trace context and attached post hoc.
+                trace.add_span("cache_lookup",
+                               time.perf_counter() - probe_started,
+                               parent=None, tags={"hit": False})
+            return self.submit(explorer.search, algorithm, vertex, k=k,
+                               keywords=keywords, op="search",
+                               timeout=timeout, trace=trace, **params)
+
+        if key is None:
+            return start()
+        return self.flights.submit((key, self.indexes.version(key[0])),
+                                   start)
 
     def search_sync(self, algorithm, vertex, k=4, keywords=None,
                     timeout=None, **params):
         """Blocking :meth:`search` with deadline enforcement."""
         timeout = timeout if timeout is not None else self.default_timeout
-        future = self.search(algorithm, vertex, k=k, keywords=keywords,
-                             timeout=timeout, **params)
-        try:
-            return future.result(timeout)
-        except QueryTimeoutError:
-            future.cancel()
-            self.stats.count("timeouts")
-            raise
+        return self.wait(self.search(algorithm, vertex, k=k,
+                                     keywords=keywords, timeout=timeout,
+                                     **params), timeout)
 
     def _require_explorer(self):
         if self.explorer is None:
@@ -1068,49 +1103,6 @@ class QueryEngine:
         graph = self.indexes.graph(name)
         return [Community.from_wire(graph, wire) for wire in wires[0]]
 
-    def search_full_query_batch(self, name, specs):
-        """Run a group of whole community searches against **one**
-        cached frozen payload round-trip of graph ``name``.
-
-        ``specs`` is a sequence of ``(algorithm, q, k, keywords)``
-        tuples; the group ships as a single
-        :func:`~repro.engine.backends.batch_full_query_job`, so the
-        payload is transferred (and every worker-side derived
-        structure built) once for the whole group instead of once per
-        query.  Returns one community list per spec, in spec order --
-        each byte-identical to what :meth:`search_full_query` would
-        return for that spec (the batching layer's tested invariant).
-        """
-        from repro.engine.backends import batch_full_query_job
-
-        def run():
-            payload, arg = self._full_payload_job_arg(name)
-            member_faults = None
-            if self.faults is not None:
-                drawn = [fault_injection.worker_actions(
-                            self.faults.draw("batch_member"))
-                         for _ in specs]
-                member_faults = drawn if any(drawn) else None
-            return self.map_shard_jobs(
-                [(batch_full_query_job,
-                  (payload.key, arg, tuple(specs), member_faults))],
-                op="full_query_batch")
-        wires = self._with_fresh_payload_retry(run)
-        self.stats.count("worker_full_query", len(specs))
-        graph = self.indexes.graph(name)
-        results = []
-        for outcome in wires[0]:
-            status, value = outcome
-            if status == "ok":
-                results.append([Community.from_wire(graph, wire)
-                                for wire in value])
-            else:
-                # One member's failure stays that member's failure:
-                # the batching layer retries it solo outside the
-                # group (blast-radius isolation).
-                results.append(BatchMemberError(value))
-        return results
-
     def detect(self, name, algorithm, params=None, per_component=False):
         """Run one whole-graph CD detection on the frozen payload.
 
@@ -1245,7 +1237,7 @@ class QueryEngine:
         return self._queue.qsize() < self.max_queue
 
     def snapshot(self):
-        """Everything ``/api/metrics`` reports about the engine."""
+        """Everything ``/v1/metrics`` reports about the engine."""
         doc = self.stats.snapshot()
         doc.update({
             "backend": self.backend,

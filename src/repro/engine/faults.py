@@ -32,8 +32,7 @@ Spec grammar (``;``-separated tokens)::
 
 ``kind`` is one of :data:`FAULT_KINDS`; ``target`` is an
 ``fnmatch``-style pattern over job-class names (``full_query``,
-``full_query_batch``, ``detect``, ``batch_member``)
-or ``span:<name>`` for span-level ``error`` rules; ``rate`` is the
+``detect``) or ``span:<name>`` for span-level ``error`` rules; ``rate`` is the
 injection probability; ``param`` is kind-specific (sleep seconds for
 ``delay``, message for ``error``); ``#limit`` caps total injections
 from that rule (how tests let a breaker's probe eventually succeed).

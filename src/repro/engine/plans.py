@@ -19,8 +19,7 @@ SMALL_GRAPH_VERTICES = 2_000
 
 ACQ_FAMILY = ("acq", "acq-inc-s", "acq-inc-t")
 
-# The triangle-cohesive family: its members share the truss map, so
-# the batcher groups them (repro.engine.batching.signature_family).
+# The triangle-cohesive family: its members share the truss map.
 TRUSS_FAMILY = ("k-truss", "atc")
 
 # Algorithms the whole-query worker pipeline can run end-to-end

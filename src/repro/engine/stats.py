@@ -3,13 +3,13 @@
 The paper pitches C-Explorer as an *online* system ("the communities
 will be returned instantly"); once queries run through a shared worker
 pool, "instantly" has to be measured, not assumed.  This module is the
-measurement substrate the engine reports through ``/api/metrics``:
+measurement substrate the engine reports through ``/v1/metrics``:
 
 * :class:`LatencyHistogram` -- per-operation latency distribution with
   log-scale buckets (for the shape) and a bounded reservoir of recent
   samples (for accurate p50/p95 over the live window);
 * :class:`EngineStats` -- named counters plus one histogram per
-  operation kind (``search``, ``detect``, ``compare``, ``batch``),
+  operation kind (``search``, ``detect``, ``compare``, ...),
   thread-safe, snapshotted as one JSON-friendly dict.
 
 Counters are monotonic; histograms age out naturally as the reservoir

@@ -19,7 +19,7 @@ measurement substrate the ROADMAP's adaptive-execution item needs:
 * :class:`TraceRecorder` -- a bounded ring buffer of finished traces
   plus a slow-query log (configurable threshold), owned by the
   :class:`~repro.engine.executor.QueryEngine` and served by the HTTP
-  layer as ``GET /api/traces`` / ``GET /api/traces/<query_id>``;
+  layer as ``GET /v1/traces`` / ``GET /v1/traces/<query_id>``;
 * **context propagation** -- :func:`activate` binds a trace to the
   current thread; :func:`span` / :func:`add_span` then attach phases
   from any layer (cache, index manager, backends) without threading
@@ -30,7 +30,7 @@ measurement substrate the ROADMAP's adaptive-execution item needs:
   :meth:`QueryTrace.graft` re-attaches them under that job's
   ``worker_execute`` span;
 * :func:`render_prometheus` -- the ``GET /metrics`` text exposition,
-  rendered from the ``/api/metrics`` document (the log-scale latency
+  rendered from the ``/v1/metrics`` document (the log-scale latency
   buckets :class:`~repro.engine.stats.LatencyHistogram` has always
   collected, finally exported);
 * :func:`format_waterfall` -- the ASCII rendering behind the
@@ -356,7 +356,7 @@ class QueryTrace:
                 self.status = status
 
     def summary(self):
-        """The one-line listing entry (``GET /api/traces``)."""
+        """The one-line listing entry (``GET /v1/traces``)."""
         with self._lock:
             return {
                 "query_id": self.query_id,
@@ -370,7 +370,7 @@ class QueryTrace:
             }
 
     def to_dict(self):
-        """The full trace document (``GET /api/traces/<query_id>``)."""
+        """The full trace document (``GET /v1/traces/<query_id>``)."""
         doc = self.summary()
         with self._lock:
             doc["spans"] = [s.to_dict() for s in self.spans]
@@ -575,7 +575,7 @@ class _Exposition:
 
 
 def render_prometheus(metrics_doc, prefix="repro"):
-    """Render the ``/api/metrics`` document as Prometheus text format.
+    """Render the ``/v1/metrics`` document as Prometheus text format.
 
     Everything is derived from the JSON metrics document the server
     already builds -- the histograms' log-scale ``buckets`` (exported
@@ -740,7 +740,7 @@ def format_waterfall(doc, width=48):
     """Render one trace document as an ASCII waterfall.
 
     ``doc`` is :meth:`QueryTrace.to_dict` output (or the JSON the
-    ``/api/traces/<id>`` endpoint serves).  Each span prints its
+    ``/v1/traces/<id>`` endpoint serves).  Each span prints its
     nesting depth, duration, and a bar positioned on the query's
     timeline -- the classic distributed-tracing view, in a terminal.
     """

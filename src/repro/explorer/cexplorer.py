@@ -353,12 +353,14 @@ class CExplorer:
             return q[0] if len(q) == 1 else q
         return self.resolve_vertex(vertex)
 
-    def peek_cached(self, algorithm, vertex, k=4, keywords=None,
-                    **params):
-        """The cached result for this query, or ``None`` -- without
-        running anything.  The engine's fast path: cache hits bypass
-        the worker queue (and its admission control) entirely.
-        """
+    def search_key(self, algorithm, vertex, k=4, keywords=None,
+                   **params):
+        """The result-cache key this search would use, or ``None``
+        when it bypasses the cache (extra ``params``, including
+        ``use_cache=False``), no graph is selected or the vertex does
+        not resolve.  The engine's fast path probes the cache with it:
+        cache hits bypass the worker queue (and its admission control)
+        entirely."""
         if params or self._current is None:
             return None
         try:
@@ -374,8 +376,16 @@ class CExplorer:
         plan = plan_search(algorithm, self.graph,
                            index_ready=self.indexes.built(name),
                            keywords=keywords)
-        key = self.cache.key(name, plan.algorithm, q, k, keywords)
-        return self.cache.get(key, record_miss=False)
+        return self.cache.key(name, plan.algorithm, q, k, keywords)
+
+    def peek_cached(self, algorithm, vertex, k=4, keywords=None,
+                    **params):
+        """The cached result for this query, or ``None`` -- without
+        running anything."""
+        key = self.search_key(algorithm, vertex, k=k, keywords=keywords,
+                              **params)
+        return None if key is None else self.cache.get(
+            key, record_miss=False)
 
     def search(self, algorithm, vertex, k=4, keywords=None,
                use_cache=True, **params):

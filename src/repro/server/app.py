@@ -1,10 +1,10 @@
-"""The synchronous server: the ``/v1`` API over ``ThreadingHTTPServer``.
+"""The server: the ``/v1`` API over ``ThreadingHTTPServer``.
 
 The HTTP surface is defined once, declaratively, in
-:mod:`repro.server.routes` and shared with the asyncio front-end
-(:mod:`repro.server.async_app`); this module only binds it to the
-stdlib threading transport.  Per route (all JSON; POST bodies are
-JSON documents):
+:mod:`repro.server.routes`; this module binds it to the stdlib
+threading transport and holds the serving state (sessions, request
+counters, the write lock, the metrics document).  Per route (all
+JSON; POST bodies are JSON documents):
 
 ==============================  =======================================
 ``GET  /``                      the HTML client page
@@ -35,29 +35,28 @@ carry stable machine-readable codes (``engine_saturated``,
 ``docs/API.md`` for the full contract, which
 ``scripts/check_api_schema.py`` validates against a live server in CI.
 
-**Legacy shim:** every pre-``/v1`` ``/api/*`` path keeps working --
-same handlers, the historical bare-document body shape, plus a
-``Deprecation: true`` header and a ``Link`` to the ``/v1`` successor.
-New clients should use ``/v1``.
-
 The server is threaded, but algorithm work does not run on handler
 threads: searches, detections and comparisons are submitted to the
 explorer's :class:`~repro.engine.executor.QueryEngine` -- a bounded
-worker pool with an admission-controlled queue.  A full queue rejects
-immediately with **429** ``engine_saturated``; a query exceeding the
-server deadline returns **504** ``deadline_exceeded``.  Cache hits
-short-circuit the queue entirely.  ``make_server(...,
-batch_window=...)`` additionally coalesces concurrent searches
-through the cross-query :class:`~repro.engine.batching.QueryBatcher`
-(the asyncio front-end enables this by default).
+worker pool with an admission-controlled queue -- and the handler
+thread only waits.  A full queue rejects immediately with **429**
+``engine_saturated``; a query exceeding the server deadline returns
+**504** ``deadline_exceeded``.  Cache hits short-circuit the queue
+entirely, and concurrent identical cache misses share one execution
+(the engine's single-flight dedup).  A request body over
+:data:`MAX_BODY_BYTES` is refused with **413** ``payload_too_large``
+before it is read.
 """
 
 import json
+import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.explorer.cexplorer import CExplorer
+from repro.explorer.sessions import SessionStore
 from repro.server.routes import (
-    Pending,
+    ApiError,
     Raw,
     Request,
     Response,
@@ -68,152 +67,158 @@ from repro.server.routes import (
     parse_query_string,
     render_error,
     render_success,
-    wait_sync,
 )
-from repro.server.state import ServerState
+
+# The largest request body the server reads.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class CExplorerServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to a shared :class:`ServerState`.
-
-    The state attributes (``explorer``, ``engine``, ``sessions``,
-    ``request_counts``, ...) stay addressable on the server object --
-    the embedding API this class has always had.
-    """
+    """ThreadingHTTPServer plus the serving state around a CExplorer:
+    ``explorer``, ``engine``, ``sessions``, ``request_counts``, ..."""
 
     daemon_threads = True
+    # The listen backlog (the stdlib default is 5): a burst of
+    # concurrent clients queues in the kernel instead of having its
+    # connections dropped into a one-second SYN retry.
+    request_queue_size = 64
 
-    def __init__(self, address, explorer, query_timeout=30.0,
-                 batch_window=None):
-        self.state = ServerState(explorer, query_timeout=query_timeout,
-                                 batch_window=batch_window)
+    def __init__(self, address, explorer, query_timeout=30.0):
+        self.explorer = explorer
+        self.engine = explorer.engine
+        self.query_timeout = query_timeout
+        self.sessions = SessionStore()
+        self.started_at = time.time()
+        self.request_counts = {}
+        self.error_count = 0
+        self.metrics_lock = threading.Lock()
+        # The upload endpoint mutates the explorer; serialise writers.
+        self.write_lock = threading.Lock()
         super().__init__(address, _Handler)
 
-    # -- the historical embedding surface, delegated to the state ------
-    @property
-    def explorer(self):
-        return self.state.explorer
+    def count_request(self, template):
+        """Count one request under its **route template** (e.g.
+        ``/v1/traces/{query_id}``), never the raw path -- the raw
+        path embeds client-chosen ids, and counting those grew
+        ``request_counts`` without bound (one bucket per trace id)."""
+        with self.metrics_lock:
+            self.request_counts[template] = \
+                self.request_counts.get(template, 0) + 1
 
-    @property
-    def engine(self):
-        return self.state.engine
-
-    @property
-    def query_timeout(self):
-        return self.state.query_timeout
-
-    @property
-    def sessions(self):
-        return self.state.sessions
-
-    @property
-    def started_at(self):
-        return self.state.started_at
-
-    @property
-    def request_counts(self):
-        return self.state.request_counts
-
-    @property
-    def error_count(self):
-        return self.state.error_count
-
-    @property
-    def write_lock(self):
-        return self.state.write_lock
+    def count_error(self):
+        """Count one request answered with an error status."""
+        with self.metrics_lock:
+            self.error_count += 1
 
     def metrics(self):
-        """The ``/v1/metrics`` document (see
-        :meth:`ServerState.metrics`)."""
-        return self.state.metrics()
+        """The ``/v1/metrics`` document.
 
-    def submit(self, fn, *args, **kwargs):
-        """Run ``fn`` on the engine's worker pool, blocking the
-        calling thread (cheap: it only waits) until the result or the
-        server deadline."""
-        kwargs.setdefault("timeout", self.state.query_timeout)
-        return self.state.engine.execute(fn, *args, **kwargs)
-
-    def server_close(self):
-        self.state.close()
-        super().server_close()
+        ``cache.invalidations_by_reason`` breaks evictions down into
+        ``core-cascade`` / ``truss-cascade`` (footprint-scoped,
+        reported by the attached maintainers) vs ``evict-all`` (the
+        conservative fallback); ``truss_invalidations`` and
+        ``truss_cascade_size`` summarise the truss maintenance
+        subsystem.
+        """
+        with self.metrics_lock:
+            requests = dict(self.request_counts)
+            errors = self.error_count
+        cache = self.explorer.cache.stats()
+        cache["by_graph"] = self.explorer.cache.entries_by_graph()
+        truss = self.explorer.indexes.truss_stats()
+        return {
+            "uptime_seconds": round(time.time() - self.started_at, 3),
+            "requests": requests,
+            "errors": errors,
+            "sessions": len(self.sessions),
+            "cache": cache,
+            "truss_invalidations":
+                cache["invalidations_by_reason"]["truss-cascade"],
+            "truss_cascade_size": {
+                "last": truss["last_cascade_size"],
+                "max": truss["max_cascade_size"],
+                "total": truss["changed_edges"],
+                "updates": truss["updates"],
+            },
+            "engine": self.engine.snapshot(),
+        }
 
 
 def make_server(explorer=None, host="127.0.0.1", port=8080,
-                query_timeout=30.0, batch_window=None):
+                query_timeout=30.0):
     """Create (not start) a :class:`CExplorerServer`.
 
     ``port=0`` picks a free port; read it back from
     ``server.server_address``.  Worker-pool sizing belongs to the
     explorer (``CExplorer(workers=..., max_queue=...)``).
-    ``batch_window`` (seconds) enables cross-query batching for
-    ``/v1/search`` / ``/v1/display``: concurrent queries arriving
-    within the window are deduplicated and QIG-grouped before hitting
-    the engine (``None`` = off, the historical behaviour).
     """
     if explorer is None:
         explorer = CExplorer()
     return CExplorerServer((host, port), explorer,
-                           query_timeout=query_timeout,
-                           batch_window=batch_window)
+                           query_timeout=query_timeout)
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Binds the shared route table to the threading transport."""
+    """Binds the route table to the threading transport."""
 
     # Silence per-request logging; the demo prints its own status line.
     def log_message(self, fmt, *args):
         pass
 
-    def _send(self, status, body, content_type="application/json",
-              headers=()):
+    def _send(self, status, body, content_type="application/json"):
         body = (body if isinstance(body, bytes)
                 else json.dumps(body).encode("utf-8"))
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        for name, value in headers:
-            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
+    def _read_body(self):
+        """The request body, refusing a malformed or oversized
+        ``Content-Length`` before reading anything."""
+        declared = (self.headers.get("Content-Length") or "").strip()
+        if not declared:
+            return b""
+        if not (declared.isascii() and declared.isdigit()):
+            raise ApiError("bad_request",
+                           "Content-Length must be a non-negative "
+                           "integer")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise ApiError("payload_too_large",
+                           "request body of {} bytes exceeds the {} "
+                           "byte limit".format(length, MAX_BODY_BYTES))
+        return self.rfile.read(length) if length else b""
+
     def _dispatch(self, method):
-        state = self.server.state
+        server = self.server
         path, query = parse_query_string(self.path)
         matched = match_route(method, path)
         if matched is None:
-            state.count_request(UNKNOWN_ROUTE)
-            state.count_error()
-            legacy = not path.startswith("/v1")
-            status, body = render_error(not_found_error(path), legacy)
-            self._send(status, body)
+            server.count_request(UNKNOWN_ROUTE)
+            server.count_error()
+            self._send(*render_error(not_found_error(path)))
             return
         route, params = matched
-        state.count_request(route.template)
+        server.count_request(route.template)
         try:
             body = {}
             if method == "POST":
-                length = int(self.headers.get("Content-Length") or 0)
-                body = parse_json_body(self.rfile.read(length)
-                                       if length else b"")
+                body = parse_json_body(self._read_body())
             request = Request(method, path, params=params, query=query,
                               body=body)
-            outcome = route.handler(state, request)
-            if isinstance(outcome, Pending):
-                outcome = wait_sync(state, outcome)
+            outcome = route.handler(server, request)
             if isinstance(outcome, Raw):
                 self._send(200, outcome.body,
-                           content_type=outcome.content_type,
-                           headers=route.headers())
+                           content_type=outcome.content_type)
                 return
             response = (outcome if isinstance(outcome, Response)
                         else Response(outcome))
-            self._send(200, render_success(route, response),
-                       headers=route.headers())
+            self._send(200, render_success(response))
         except Exception as exc:  # defensive: never kill the connection
-            state.count_error()
-            status, doc = render_error(exc, route.legacy)
-            self._send(status, doc, headers=route.headers())
+            server.count_error()
+            self._send(*render_error(exc))
 
     def do_GET(self):
         self._dispatch("GET")

@@ -1,15 +1,10 @@
-"""The versioned HTTP API: one declarative route table, two servers.
+"""The versioned HTTP API: one declarative route table.
 
-PRs 1-6 grew the serving surface one ``/api/*`` endpoint at a time,
-each dispatched from an if-chain in ``app.py`` with its own ad-hoc
-request/response shape.  This module redesigns that surface as a
-**versioned API** both front-ends share:
+This module defines the serving surface the threaded server
+(:mod:`repro.server.app`) binds to its transport:
 
 * a declarative :data:`ROUTES` table -- method + path template
-  (``/v1/traces/{query_id}``) + handler -- consumed by the sync
-  :mod:`~repro.server.app` and the async
-  :mod:`~repro.server.async_app` alike, so the two servers cannot
-  drift;
+  (``/v1/traces/{query_id}``) + handler;
 * a uniform **response envelope** on every ``/v1`` route::
 
       {"ok": true,  "data": ...,  "error": null}            # success
@@ -23,21 +18,13 @@ request/response shape.  This module redesigns that surface as a
   instead of mixed 4xx bodies -- ``graph_not_found``,
   ``engine_saturated``, ``deadline_exceeded``, ... -- each with a
   fixed HTTP status, documented in ``docs/API.md`` and validated
-  against a live server by ``scripts/check_api_schema.py``;
-* a **legacy shim**: every pre-existing ``/api/*`` path stays
-  registered against the same handler, rendered in the legacy body
-  shape (the bare data document; errors as ``{"error": message}``)
-  with a ``Deprecation: true`` header and a ``Link`` to its ``/v1``
-  successor, so existing clients keep working while new ones migrate.
+  against a live server by ``scripts/check_api_schema.py``.
 
-Handlers are transport-agnostic: they take ``(state, request)`` --
-:class:`~repro.server.state.ServerState` plus a parsed
-:class:`Request` -- and return plain data, a :class:`Response`, a
-:class:`Raw` byte body, or a :class:`Pending` wrapping an
-:class:`~repro.engine.executor.EngineFuture`.  How a ``Pending`` is
-awaited is the *only* per-server decision: the sync server blocks its
-handler thread (:func:`wait_sync`), the async server polls the future
-from the event loop.
+Handlers take ``(server, request)`` -- the
+:class:`~repro.server.app.CExplorerServer` plus a parsed
+:class:`Request` -- and return plain data, a :class:`Response`, or a
+:class:`Raw` byte body.  Handlers that run engine work block on the
+engine's future with the server deadline.
 """
 
 import json
@@ -82,6 +69,8 @@ ERROR_CODES = {
     "graph_not_found": (404, "no graph is registered under that name"),
     "trace_not_found": (404, "the trace id is not in the ring buffer"),
     "session_not_found": (404, "the session id is unknown"),
+    "payload_too_large": (413, "the request body exceeds the size "
+                               "limit"),
     "engine_saturated": (429, "admission control rejected the query; "
                               "back off and retry"),
     "not_ready": (503, "the server is not ready to accept queries; "
@@ -93,44 +82,34 @@ ERROR_CODES = {
 
 
 class ApiError(CExplorerError):
-    """An error with a stable wire code.
+    """An error with a stable wire code."""
 
-    ``legacy_status`` lets the shim keep a historical status when the
-    ``/v1`` contract uses a better one (e.g. ``session_not_found`` is
-    404 under ``/v1`` but the legacy ``/api/history`` always answered
-    400).
-    """
-
-    def __init__(self, code, message, legacy_status=None):
+    def __init__(self, code, message):
         super().__init__(message)
         if code not in ERROR_CODES:
             raise ValueError("unregistered error code {!r}".format(code))
         self.code = code
         self.status = ERROR_CODES[code][0]
-        self.legacy_status = (legacy_status if legacy_status is not None
-                              else self.status)
 
 
 def translate_error(exc):
-    """Map any exception to ``(status, code, message, legacy_status,
-    retry)`` -- the one place wire semantics are assigned."""
+    """Map any exception to ``(status, code, message, retry)`` -- the
+    one place wire semantics are assigned."""
     if isinstance(exc, ApiError):
-        return (exc.status, exc.code, str(exc), exc.legacy_status,
-                False)
+        return exc.status, exc.code, str(exc), False
     if isinstance(exc, EngineBusyError):
-        return 429, "engine_saturated", str(exc), 429, True
+        return 429, "engine_saturated", str(exc), True
     if isinstance(exc, QueryTimeoutError):
-        return 504, "deadline_exceeded", str(exc), 504, False
+        return 504, "deadline_exceeded", str(exc), False
     if isinstance(exc, QueryCancelledError):
-        return 503, "cancelled", str(exc), 503, False
+        return 503, "cancelled", str(exc), False
     if isinstance(exc, UnknownAlgorithmError):
-        return 400, "unknown_algorithm", str(exc), 400, False
+        return 400, "unknown_algorithm", str(exc), False
     if isinstance(exc, (QueryError, UnknownVertexError)):
-        return 400, "invalid_query", str(exc), 400, False
+        return 400, "invalid_query", str(exc), False
     if isinstance(exc, CExplorerError):
-        return 400, "bad_request", str(exc), 400, False
-    return (500, "internal", "internal error: {}".format(exc), 500,
-            False)
+        return 400, "bad_request", str(exc), False
+    return 500, "internal", "internal error: {}".format(exc), False
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +130,7 @@ class Request:
 
     def int_query(self, key, default):
         """An integer query-string parameter, or ``default`` when
-        absent or malformed (the legacy ``?limit=N`` semantics)."""
+        absent or malformed."""
         values = self.query.get(key)
         if not values:
             return default
@@ -179,38 +158,6 @@ class Raw:
     def __init__(self, body, content_type):
         self.body = body
         self.content_type = content_type
-
-
-class Pending:
-    """A handler outcome still executing on the engine.
-
-    ``future`` is the :class:`~repro.engine.executor.EngineFuture` to
-    await (each server its own way), ``finish(result)`` builds the
-    final data/:class:`Response` once it resolves, ``timeout`` is the
-    wait budget (``None`` -> the server's ``query_timeout``).
-    """
-
-    __slots__ = ("future", "finish", "timeout")
-
-    def __init__(self, future, finish, timeout=None):
-        self.future = future
-        self.finish = finish
-        self.timeout = timeout
-
-
-def wait_sync(state, pending):
-    """Block on a :class:`Pending` with deadline enforcement: the
-    sync server's awaiter.  A timed-out future is cancelled (a queued
-    job is dropped without running) and counted."""
-    timeout = pending.timeout if pending.timeout is not None \
-        else state.query_timeout
-    try:
-        result = pending.future.result(timeout)
-    except QueryTimeoutError:
-        pending.future.cancel()
-        state.engine.stats.count("timeouts")
-        raise
-    return pending.finish(result)
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +191,7 @@ def parse_query_string(path_and_query):
 
 
 def need(body, key):
-    """A required request field (legacy-compatible message)."""
+    """A required request field."""
     value = body.get(key)
     if value is None:
         raise ApiError("missing_field",
@@ -273,28 +220,28 @@ def _graph_doc(explorer, name):
             "edges": graph.edge_count}
 
 
-def h_index_page(state, req):
+def h_index_page(server, req):
     return Raw(INDEX_HTML.encode("utf-8"), "text/html; charset=utf-8")
 
 
-def h_prometheus(state, req):
-    text = render_prometheus(state.metrics())
+def h_prometheus(server, req):
+    text = render_prometheus(server.metrics())
     return Raw(text.encode("utf-8"),
                "text/plain; version=0.0.4; charset=utf-8")
 
 
-def h_algorithms(state, req):
-    return state.explorer.available_algorithms()
+def h_algorithms(server, req):
+    return server.explorer.available_algorithms()
 
 
-def h_graphs(state, req):
-    explorer = state.explorer
+def h_graphs(server, req):
+    explorer = server.explorer
     return {"graphs": [_graph_doc(explorer, name)
                        for name in explorer.graph_names()]}
 
 
-def h_graph(state, req):
-    explorer = state.explorer
+def h_graph(server, req):
+    explorer = server.explorer
     name = req.params["name"]
     if name not in explorer.graph_names():
         raise ApiError("graph_not_found",
@@ -304,36 +251,36 @@ def h_graph(state, req):
     return doc
 
 
-def h_stats(state, req):
-    return state.explorer.summary()
+def h_stats(server, req):
+    return server.explorer.summary()
 
 
-def h_metrics(state, req):
-    return state.metrics()
+def h_metrics(server, req):
+    return server.metrics()
 
 
-def h_health(state, req):
+def h_health(server, req):
     """Liveness: answers 200 whenever the process can serve at all.
 
     ``degraded`` flags an open/half-open backend breaker -- the
     server is still alive (queries run on a fallback substrate), but
     an operator dashboard should notice.
     """
-    resilience = state.engine.resilience
+    resilience = server.engine.resilience
     return {
         "status": "ok",
-        "uptime_seconds": round(time.time() - state.started_at, 3),
-        "backend": state.engine.backend,
+        "uptime_seconds": round(time.time() - server.started_at, 3),
+        "backend": server.engine.backend,
         "degraded": bool(resilience.snapshot()["degraded"]),
     }
 
 
-def h_ready(state, req):
+def h_ready(server, req):
     """Readiness: 200 only when a query submitted right now would be
     admitted; 503 ``not_ready`` when the engine is shut down or the
     admission queue is at its ceiling (a load balancer should route
     elsewhere and retry)."""
-    engine = state.engine
+    engine = server.engine
     if not engine.accepting:
         raise ApiError("not_ready",
                        "engine is not accepting queries "
@@ -346,8 +293,8 @@ def h_ready(state, req):
     }
 
 
-def h_traces(state, req):
-    tracer = state.engine.tracer
+def h_traces(server, req):
+    tracer = server.engine.tracer
     limit = req.int_query("limit", 50)
     return {
         "traces": [t.summary() for t in tracer.traces(limit=limit)],
@@ -357,9 +304,9 @@ def h_traces(state, req):
     }
 
 
-def h_trace(state, req):
+def h_trace(server, req):
     query_id = req.params["query_id"]
-    trace = state.engine.tracer.get(query_id)
+    trace = server.engine.tracer.get(query_id)
     if trace is None:
         raise ApiError("trace_not_found",
                        "no trace {!r} in the ring buffer"
@@ -367,14 +314,14 @@ def h_trace(state, req):
     return trace.to_dict()
 
 
-def h_upload(state, req):
+def h_upload(server, req):
     body = req.body
     path = body.get("path")
     if not path:
         raise ApiError("missing_field", "upload needs a 'path'")
-    explorer = state.explorer
+    explorer = server.explorer
     try:
-        with state.write_lock:
+        with server.write_lock:
             name = explorer.upload(path, name=body.get("name"))
     except OSError as exc:
         # A client-supplied path the server cannot read is the
@@ -385,19 +332,18 @@ def h_upload(state, req):
     return _graph_doc(explorer, name)
 
 
-def h_options(state, req):
-    return state.explorer.query_options(need(req.body, "vertex"))
+def h_options(server, req):
+    return server.explorer.query_options(need(req.body, "vertex"))
 
 
-def _search_pending(state, req, finish_data):
-    """Submit the request's search and defer ``finish_data``.
+def _search(server, req):
+    """Run the request's search; returns ``(communities, query)``.
 
-    The shared front half of ``search`` and ``display``: parse, submit
-    through the state's search path (the batcher when one is enabled,
-    the engine's plan/cache path otherwise), and build the query echo
-    document.  ``finish_data(communities, query)`` produces the
-    route-specific payload once the future resolves; the request-level
-    span and trace id are attached here, identically for both.
+    The shared front half of ``search`` and ``display``: parse, run
+    through the engine's cache + single-flight path, wait with the
+    server deadline, and build the query echo document.  The
+    request-level span and trace id are attached here, identically
+    for both routes.
     """
     body = req.body
     vertex = need(body, "vertex")
@@ -406,139 +352,116 @@ def _search_pending(state, req, finish_data):
     keywords = body.get("keywords")
     started = time.time()
     start = time.perf_counter()
-    future = state.submit_search(algorithm, vertex, k=k,
-                                 keywords=keywords)
+    future = server.engine.search(algorithm, vertex, k=k,
+                                  keywords=keywords,
+                                  timeout=server.query_timeout)
+    communities = server.engine.wait(future, server.query_timeout)
     query = {"vertex": vertex, "k": k, "algorithm": algorithm,
              "keywords": keywords}
-
-    def finish(communities):
-        trace = future.trace
-        if trace is not None:
-            # End-to-end as the handler saw it: a top-level sibling
-            # of the engine's own spans, so queue + execute + the
-            # request envelope stay separable in the waterfall.
-            trace.add_span("request", time.perf_counter() - start,
-                           start=started, parent=None,
-                           tags={"path": req.path})
-            query["trace"] = trace.query_id
-        return Response(finish_data(communities, query),
-                        trace=query.get("trace"))
-
-    return Pending(future, finish)
+    trace = future.trace
+    if trace is not None:
+        # End-to-end as the handler saw it: a top-level sibling of
+        # the engine's own spans, so queue + execute + the request
+        # envelope stay separable in the waterfall.
+        trace.add_span("request", time.perf_counter() - start,
+                       start=started, parent=None,
+                       tags={"path": req.path})
+        query["trace"] = trace.query_id
+    return communities, query
 
 
-def h_search(state, req):
+def h_search(server, req):
+    communities, query = _search(server, req)
+    session_id = req.body.get("session")
+    if session_id:
+        session = server.sessions.get(str(session_id))
+    else:
+        session = server.sessions.create()
+    session.record(query["algorithm"], str(query["vertex"]),
+                   query["k"], len(communities),
+                   keywords=query["keywords"])
+    return Response({
+        "session": session.session_id,
+        "query": query,
+        "communities": [c.to_dict() for c in communities],
+    }, trace=query.get("trace"))
+
+
+def h_display(server, req):
     body = req.body
-
-    def finish_data(communities, query):
-        session_id = body.get("session")
-        if session_id:
-            session = state.sessions.get(str(session_id))
-        else:
-            session = state.sessions.create()
-        session.record(query["algorithm"], str(query["vertex"]),
-                       query["k"], len(communities),
-                       keywords=query["keywords"])
-        return {
-            "session": session.session_id,
-            "query": query,
-            "communities": [c.to_dict() for c in communities],
-        }
-
-    return _search_pending(state, req, finish_data)
-
-
-def h_display(state, req):
-    body = req.body
-
-    def finish_data(communities, query):
-        idx = as_int(body.get("community", 0), "community")
-        if not 0 <= idx < len(communities):
-            raise ApiError("invalid_parameter",
-                           "community index {} out of range (have {})"
-                           .format(idx, len(communities)))
-        community = communities[idx]
-        layout = state.explorer.display(
-            community, fmt="positions",
-            layout=body.get("layout", "ego"))
-        svg = render_svg(community, layout=layout)
-        from repro.analysis.themes import theme_of
-        return {
-            "query": query,
-            "community": community.to_dict(),
-            "theme": theme_of(community),
-            "positions": {str(v): [round(x, 4), round(y, 4)]
-                          for v, (x, y) in layout.items()},
-            "svg": svg,
-        }
-
-    return _search_pending(state, req, finish_data)
+    communities, query = _search(server, req)
+    idx = as_int(body.get("community", 0), "community")
+    if not 0 <= idx < len(communities):
+        raise ApiError("invalid_parameter",
+                       "community index {} out of range (have {})"
+                       .format(idx, len(communities)))
+    community = communities[idx]
+    layout = server.explorer.display(
+        community, fmt="positions", layout=body.get("layout", "ego"))
+    svg = render_svg(community, layout=layout)
+    from repro.analysis.themes import theme_of
+    return Response({
+        "query": query,
+        "community": community.to_dict(),
+        "theme": theme_of(community),
+        "positions": {str(v): [round(x, 4), round(y, 4)]
+                      for v, (x, y) in layout.items()},
+        "svg": svg,
+    }, trace=query.get("trace"))
 
 
-def h_detect(state, req):
+def h_detect(server, req):
     body = req.body
     algorithm = body.get("algorithm", "codicil")
     params = body.get("params") or {}
-    future = state.engine.submit(state.explorer.detect, algorithm,
-                                 op="detect",
-                                 timeout=state.query_timeout, **params)
-
-    def finish(communities):
-        return {
-            "algorithm": algorithm,
-            "count": len(communities),
-            "communities": [c.to_dict() for c in communities[:50]],
-        }
-
-    return Pending(future, finish)
+    communities = server.engine.execute(
+        server.explorer.detect, algorithm, op="detect",
+        timeout=server.query_timeout, **params)
+    return {
+        "algorithm": algorithm,
+        "count": len(communities),
+        "communities": [c.to_dict() for c in communities[:50]],
+    }
 
 
-def h_profile(state, req):
-    return state.explorer.profile(need(req.body, "vertex")).to_dict()
+def h_profile(server, req):
+    return server.explorer.profile(need(req.body, "vertex")).to_dict()
 
 
-def h_compare(state, req):
+def h_compare(server, req):
     body = req.body
     vertex = need(body, "vertex")
     k = as_int(body.get("k", 4), "k")
     methods = body.get("methods") or ("global", "local", "codicil",
                                      "acq")
-    future = state.engine.submit(state.explorer.compare, vertex, k=k,
-                                 methods=tuple(methods),
-                                 keywords=body.get("keywords"),
-                                 op="compare",
-                                 timeout=state.query_timeout)
-
-    def finish(report):
-        doc = report.to_dict()
-        if body.get("charts", True):
-            from repro.viz.charts import render_quality_charts
-            doc["charts"] = render_quality_charts(report)
-        return doc
-
-    return Pending(future, finish)
+    report = server.engine.execute(
+        server.explorer.compare, vertex, k=k, methods=tuple(methods),
+        keywords=body.get("keywords"), op="compare",
+        timeout=server.query_timeout)
+    doc = report.to_dict()
+    if body.get("charts", True):
+        from repro.viz.charts import render_quality_charts
+        doc["charts"] = render_quality_charts(report)
+    return doc
 
 
-def h_suggest(state, req):
+def h_suggest(server, req):
     body = req.body
     prefix = str(body.get("prefix", ""))
     limit = as_int(body.get("limit", 10), "limit")
     return {
         "prefix": prefix,
-        "names": state.explorer.suggest_names(prefix, limit=limit),
+        "names": server.explorer.suggest_names(prefix, limit=limit),
     }
 
 
-def h_history(state, req):
+def h_history(server, req):
     body = req.body
     session_id = str(need(body, "session"))
-    session = state.sessions.get(session_id, create_missing=False)
+    session = server.sessions.get(session_id, create_missing=False)
     if session is None:
-        # /v1 reports a proper 404; the legacy /api/history contract
-        # has always answered 400.
         raise ApiError("session_not_found",
-                       "unknown session {!r}".format(session_id),
-                       legacy_status=400)
+                       "unknown session {!r}".format(session_id))
     return {
         "session": session_id,
         "history": session.history(limit=body.get("limit")),
@@ -555,29 +478,17 @@ class Route:
     ``template`` segments of the form ``{name}`` capture one path
     segment into ``request.params``.  The template doubles as the
     request-counter key, so parameterised paths aggregate under one
-    stable bucket instead of one bucket per id.  ``legacy`` marks an
-    ``/api/*`` shim registration (legacy body shape + ``Deprecation``
-    header); ``successor`` is its ``/v1`` template, advertised in the
-    ``Link`` header.  ``blocking`` marks handlers that may do real
-    work on the calling thread (file I/O, lazy index/summary builds,
-    layout rendering) -- the async server runs those in its executor
-    instead of on the event loop.
+    stable bucket instead of one bucket per id.
     """
 
-    __slots__ = ("method", "template", "handler", "segments", "legacy",
-                 "successor", "blocking", "raw")
+    __slots__ = ("method", "template", "handler", "segments")
 
-    def __init__(self, method, template, handler, legacy=False,
-                 successor=None, blocking=False, raw=False):
+    def __init__(self, method, template, handler):
         self.method = method
         self.template = template
         self.handler = handler
         self.segments = tuple(template.strip("/").split("/")) \
             if template != "/" else ()
-        self.legacy = legacy
-        self.successor = successor
-        self.blocking = blocking
-        self.raw = raw
 
     def match(self, method, segments):
         """``request.params`` when this route matches, else ``None``."""
@@ -591,60 +502,29 @@ class Route:
                 return None
         return params
 
-    def headers(self):
-        """Per-route response headers (the deprecation contract)."""
-        if not self.legacy:
-            return []
-        headers = [("Deprecation", "true")]
-        if self.successor:
-            headers.append(
-                ("Link", '<{}>; rel="successor-version"'
-                 .format(self.successor)))
-        return headers
 
-
-# (method, /v1 template, legacy /api template or None, handler, opts)
-_SPECS = (
-    ("GET", "/v1/algorithms", "/api/algorithms", h_algorithms, {}),
-    ("GET", "/v1/graphs", "/api/graphs", h_graphs, {}),
-    ("GET", "/v1/graphs/{name}", None, h_graph, {}),
-    ("GET", "/v1/stats", "/api/stats", h_stats, {"blocking": True}),
-    ("GET", "/v1/metrics", "/api/metrics", h_metrics, {}),
-    ("GET", "/v1/health", None, h_health, {}),
-    ("GET", "/v1/ready", None, h_ready, {}),
-    ("GET", "/v1/traces", "/api/traces", h_traces, {}),
-    ("GET", "/v1/traces/{query_id}", "/api/traces/{query_id}",
-     h_trace, {}),
-    ("POST", "/v1/upload", "/api/upload", h_upload,
-     {"blocking": True}),
-    ("POST", "/v1/options", "/api/options", h_options,
-     {"blocking": True}),
-    ("POST", "/v1/search", "/api/search", h_search, {}),
-    ("POST", "/v1/detect", "/api/detect", h_detect, {}),
-    ("POST", "/v1/display", "/api/display", h_display,
-     {"blocking": True}),
-    ("POST", "/v1/profile", "/api/profile", h_profile, {}),
-    ("POST", "/v1/compare", "/api/compare", h_compare,
-     {"blocking": True}),
-    ("POST", "/v1/suggest", "/api/suggest", h_suggest, {}),
-    ("POST", "/v1/history", "/api/history", h_history, {}),
+ROUTES = (
+    Route("GET", "/", h_index_page),
+    Route("GET", "/metrics", h_prometheus),
+    Route("GET", "/v1/algorithms", h_algorithms),
+    Route("GET", "/v1/graphs", h_graphs),
+    Route("GET", "/v1/graphs/{name}", h_graph),
+    Route("GET", "/v1/stats", h_stats),
+    Route("GET", "/v1/metrics", h_metrics),
+    Route("GET", "/v1/health", h_health),
+    Route("GET", "/v1/ready", h_ready),
+    Route("GET", "/v1/traces", h_traces),
+    Route("GET", "/v1/traces/{query_id}", h_trace),
+    Route("POST", "/v1/upload", h_upload),
+    Route("POST", "/v1/options", h_options),
+    Route("POST", "/v1/search", h_search),
+    Route("POST", "/v1/detect", h_detect),
+    Route("POST", "/v1/display", h_display),
+    Route("POST", "/v1/profile", h_profile),
+    Route("POST", "/v1/compare", h_compare),
+    Route("POST", "/v1/suggest", h_suggest),
+    Route("POST", "/v1/history", h_history),
 )
-
-
-def _build_routes():
-    routes = [
-        Route("GET", "/", h_index_page, raw=True),
-        Route("GET", "/metrics", h_prometheus, raw=True),
-    ]
-    for method, v1, legacy, handler, opts in _SPECS:
-        routes.append(Route(method, v1, handler, **opts))
-        if legacy is not None:
-            routes.append(Route(method, legacy, handler, legacy=True,
-                                successor=v1, **opts))
-    return tuple(routes)
-
-
-ROUTES = _build_routes()
 
 
 def v1_routes():
@@ -666,25 +546,17 @@ def match_route(method, path):
 # response rendering
 # ----------------------------------------------------------------------
 
-def render_success(route, response):
-    """The success body for a route: envelope on ``/v1``, the bare
-    data document on the legacy shim."""
-    if route.legacy:
-        return response.data
+def render_success(response):
+    """The success envelope for a :class:`Response`."""
     doc = {"ok": True, "data": response.data, "error": None}
     if response.trace is not None:
         doc["trace"] = response.trace
     return doc
 
 
-def render_error(exc, legacy):
-    """``(status, body)`` for any exception, in the requested shape."""
-    status, code, message, legacy_status, retry = translate_error(exc)
-    if legacy:
-        body = {"error": message}
-        if retry:
-            body["retry"] = True
-        return legacy_status, body
+def render_error(exc):
+    """``(status, envelope)`` for any exception."""
+    status, code, message, retry = translate_error(exc)
     error = {"code": code, "message": message}
     if retry:
         error["retry"] = True
@@ -692,5 +564,5 @@ def render_error(exc, legacy):
 
 
 def not_found_error(path):
-    """The unmatched-path error (legacy-compatible message)."""
+    """The unmatched-path error."""
     return ApiError("not_found", "no such endpoint: " + path)

@@ -102,14 +102,6 @@ class JobPayloadError(EngineError):
         return (self.__class__, (self.args[0], self.key))
 
 
-class BatchMemberError(EngineError):
-    """One member of a batched query group failed inside the shared
-    worker job.  The batching layer retries the member solo instead of
-    poisoning the whole clique; this carries the worker-side failure
-    description for the retry's error message if the solo run also
-    fails."""
-
-
 class UnknownAlgorithmError(CExplorerError, KeyError):
     """An algorithm name was not found in the plug-in registry."""
 

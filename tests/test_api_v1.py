@@ -1,20 +1,22 @@
-"""The ``/v1`` API contract: envelope, error codes, shim, batching.
+"""The ``/v1`` API contract: envelope, error codes, single-flight.
 
-Covers what ``tests/test_server.py`` (the legacy surface) does not:
+Covers what ``tests/test_server.py`` (the per-route behaviour) does
+not:
 
 * every ``/v1`` response wears the uniform envelope with a stable
   machine-readable error code from the registered table;
 * the hard-to-reach codes -- ``engine_saturated`` from a wedged
-  engine (a fast 429, not a hung socket, on both front-ends) and
-  ``deadline_exceeded`` from a tiny server deadline;
-* the legacy ``/api/*`` shim serves the same data bare, with
-  ``Deprecation``/``Link`` headers;
+  engine (a fast 429, not a hung socket) and ``deadline_exceeded``
+  from a tiny server deadline;
+* malformed and oversized ``Content-Length`` headers, over raw
+  sockets;
+* the retired ``/api/*`` paths answer 404 ``not_found``;
 * request counters bucket by route template, never by raw path;
-* the asyncio front-end end-to-end, including cross-query batching
-  coalescing a concurrent burst.
+* concurrent identical cache misses share one execution.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -24,7 +26,6 @@ import pytest
 
 from repro.explorer.cexplorer import CExplorer
 from repro.server.app import make_server
-from repro.server.async_app import make_async_server
 from repro.server.routes import ERROR_CODES, translate_error
 from repro.util.errors import QueryCancelledError
 
@@ -41,16 +42,6 @@ def sync_server():
     explorer.add_graph("dblp", _graph())
     srv = make_server(explorer, port=0)
     threading.Thread(target=srv.serve_forever, daemon=True).start()
-    yield srv
-    srv.shutdown()
-
-
-@pytest.fixture(scope="module")
-def async_server():
-    explorer = CExplorer()
-    explorer.add_graph("dblp", _graph())
-    srv = make_async_server(explorer, port=0)
-    srv.start_background()
     yield srv
     srv.shutdown()
 
@@ -93,7 +84,7 @@ def _assert_envelope(status, doc):
         assert error["message"]
 
 
-@pytest.fixture(params=["sync_server", "async_server"])
+@pytest.fixture(params=["sync_server"])
 def server(request):
     return request.getfixturevalue(request.param)
 
@@ -163,10 +154,10 @@ class TestErrorCodes:
     def test_remaining_codes_via_translation(self):
         # ``cancelled`` and ``internal`` need a racing shutdown or a
         # server bug; pin their wire mapping at the translation seam.
-        status, code, _, _, retry = translate_error(
+        status, code, _, retry = translate_error(
             QueryCancelledError("cancelled before running"))
         assert (status, code, retry) == (503, "cancelled", False)
-        status, code, message, _, _ = translate_error(
+        status, code, message, _ = translate_error(
             ZeroDivisionError("boom"))
         assert (status, code) == (500, "internal")
         assert "boom" in message
@@ -174,8 +165,10 @@ class TestErrorCodes:
     def test_all_codes_covered(self):
         exercised = {c[0] for c in self.CASES} | {
             "cancelled", "internal",
-            # driven by the dedicated saturation/deadline tests below
+            # driven by the dedicated saturation/deadline and
+            # Content-Length tests below
             "engine_saturated", "deadline_exceeded",
+            "payload_too_large",
             # driven live in tests/test_resilience.py (readiness
             # flips only with a shut-down engine or a full queue)
             "not_ready",
@@ -184,39 +177,23 @@ class TestErrorCodes:
 
 
 class TestLegacyShim:
-    def test_same_data_bare_body(self, server):
-        _, headers, legacy = _get(server, "/api/graphs")
-        _, _, v1 = _get(server, "/v1/graphs")
-        assert "ok" not in legacy
-        assert legacy == v1["data"]
-        assert headers.get("Deprecation") == "true"
-        assert "/v1/graphs" in headers.get("Link", "")
-        assert "successor-version" in headers.get("Link", "")
+    """The pre-``/v1`` ``/api/*`` shim is retired."""
 
     def test_v1_routes_not_deprecated(self, server):
         _, headers, _ = _get(server, "/v1/graphs")
         assert "Deprecation" not in headers
 
     def test_legacy_error_shape(self, server):
-        status, headers, doc = _post(server, "/api/history",
-                                     {"session": "ghost"})
-        # The historical /api/history contract: 400, {"error": msg}.
-        assert status == 400
-        assert set(doc) == {"error"}
-        assert headers.get("Deprecation") == "true"
-        status, _, doc = _post(server, "/v1/history",
-                               {"session": "ghost"})
-        assert status == 404
-        assert doc["error"]["code"] == "session_not_found"
-
-    def test_search_equivalence(self, server):
-        _, _, legacy = _post(server, "/api/search",
-                             {"vertex": "jim gray", "k": 3})
-        _, _, v1 = _post(server, "/v1/search",
-                         {"vertex": "jim gray", "k": 3})
-        legacy_c = [c["vertices"] for c in legacy["communities"]]
-        v1_c = [c["vertices"] for c in v1["data"]["communities"]]
-        assert legacy_c == v1_c
+        # A retired path is an unknown route: 404 in the envelope,
+        # never a bare {"error": msg} body.
+        for status, headers, doc in (
+                _get(server, "/api/graphs"),
+                _post(server, "/api/search",
+                      {"vertex": "jim gray", "k": 3})):
+            _assert_envelope(status, doc)
+            assert status == 404
+            assert doc["error"]["code"] == "not_found"
+            assert "Deprecation" not in headers
 
 
 class TestRequestCounting:
@@ -261,17 +238,12 @@ def _wedge(engine, seconds):
 class TestSaturationAndDeadline:
     """The overload codes: fast rejections, never hung sockets."""
 
-    @pytest.mark.parametrize("kind", ["sync", "async"])
+    @pytest.mark.parametrize("kind", ["sync"])
     def test_engine_saturated(self, kind):
         explorer = CExplorer(workers=1, max_queue=1)
         explorer.add_graph("dblp", _graph())
-        if kind == "async":
-            srv = make_async_server(explorer, port=0)
-            srv.start_background()
-        else:
-            srv = make_server(explorer, port=0)
-            threading.Thread(target=srv.serve_forever,
-                             daemon=True).start()
+        srv = make_server(explorer, port=0)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
         try:
             release, _ = _wedge(explorer.engine, 30.0)
             # Fill the 1-slot queue behind the wedged worker.
@@ -309,107 +281,127 @@ class TestSaturationAndDeadline:
             srv.shutdown()
 
     def test_batched_saturation_is_not_a_hung_socket(self):
-        """With batching on, a full queue must still answer 429
-        through the batcher's group-failure path."""
+        """Concurrent identical searches against a full queue each
+        answer 429 at once: a rejected leader leaves no flight for
+        the others to wait on."""
         explorer = CExplorer(workers=1, max_queue=1)
         explorer.add_graph("dblp", _graph())
-        srv = make_async_server(explorer, port=0, batch_window=0.01)
-        srv.start_background()
+        srv = make_server(explorer, port=0)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
         try:
             release, _ = _wedge(explorer.engine, 30.0)
             explorer.engine.submit(lambda: None, op="filler")
-            started = time.perf_counter()
-            status, _, doc = _post(srv, "/v1/search",
+            results = [None] * 4
+
+            def query(i):
+                results[i] = _post(srv, "/v1/search",
                                    {"vertex": "jim gray", "k": 3})
+
+            started = time.perf_counter()
+            threads = [threading.Thread(target=query, args=(i,))
+                       for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
             elapsed = time.perf_counter() - started
             release.set()
-            assert status == 429
-            assert doc["error"]["code"] == "engine_saturated"
+            for status, _, doc in results:
+                assert status == 429
+                assert doc["error"]["code"] == "engine_saturated"
             assert elapsed < 5.0
         finally:
             srv.shutdown()
 
 
-class TestAsyncBatching:
-    def test_concurrent_burst_coalesces(self):
+def _raw_request(server, content_length, timeout=3.0):
+    """POST /v1/search with a hand-written ``Content-Length`` header
+    and no body; ``(status, envelope)`` of the reply."""
+    with socket.create_connection(("127.0.0.1",
+                                   server.server_address[1]),
+                                  timeout=timeout) as sock:
+        sock.sendall("POST /v1/search HTTP/1.1\r\n"
+                     "Host: localhost\r\n"
+                     "Content-Type: application/json\r\n"
+                     "Content-Length: {}\r\n\r\n"
+                     .format(content_length).encode("ascii"))
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestContentLength:
+    """The handler never trusts ``Content-Length``: a malformed value
+    is a 400 and an oversized one a 413, both answered without
+    reading (or waiting for) a body."""
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_malformed_is_bad_request(self, sync_server, value):
+        status, doc = _raw_request(sync_server, value)
+        _assert_envelope(status, doc)
+        assert status == 400
+        assert doc["error"]["code"] == "bad_request"
+
+    def test_oversized_is_payload_too_large(self, sync_server):
+        started = time.perf_counter()
+        status, doc = _raw_request(sync_server, "99999999999")
+        _assert_envelope(status, doc)
+        assert status == 413
+        assert doc["error"]["code"] == "payload_too_large"
+        assert time.perf_counter() - started < 2.0
+
+
+class TestSingleFlight:
+    def test_concurrent_identical_misses_run_once(self, monkeypatch):
+        """8 concurrent identical cache-missing searches: one
+        algorithm execution, 7 shared answers, identical bodies."""
+        from repro.algorithms.registry import get_cs_algorithm
+
+        algo = get_cs_algorithm("global")
+        runs = []
+        inner = algo.func
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            time.sleep(0.3)  # keep the leader in flight
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(algo, "func", counted)
         explorer = CExplorer(workers=2)
         explorer.add_graph("dblp", _graph())
-        srv = make_async_server(explorer, port=0, batch_window=0.05)
-        srv.start_background()
+        srv = make_server(explorer, port=0)
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
         try:
-            vertices = ["jim gray"] * 4 + ["michael stonebraker",
-                                           "gerhard weikum"]
-            results = [None] * len(vertices)
+            barrier = threading.Barrier(8)
+            results = [None] * 8
 
-            def query(i, vertex):
+            def query(i):
+                barrier.wait()
                 results[i] = _post(srv, "/v1/search",
-                                   {"vertex": vertex, "k": 3})
+                                   {"vertex": "jim gray", "k": 3,
+                                    "algorithm": "global"})
 
-            threads = [threading.Thread(target=query, args=(i, v))
-                       for i, v in enumerate(vertices)]
+            threads = [threading.Thread(target=query, args=(i,))
+                       for i in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
+            bodies = set()
             for status, _, doc in results:
                 _assert_envelope(status, doc)
                 assert doc["ok"]
-            # The four duplicates share one execution...
-            identical = [json.dumps(doc["data"]["communities"])
-                         for _, _, doc in results[:4]]
-            assert len(set(identical)) == 1
-            # ...and the stats plane shows the coalescing.
-            _, _, metrics = _get(srv, "/v1/metrics")
-            batching = metrics["data"]["batching"]
-            assert batching["batched_queries"] >= 6
-            assert batching["shared_answers"] >= 1
-            assert batching["batches"] < len(vertices)
+                bodies.add(json.dumps(doc["data"]["communities"]))
+            assert len(bodies) == 1
+            assert len(runs) == 1
+            counters = explorer.engine.snapshot()["counters"]
+            assert counters["shared_answers"] == 7
+            assert explorer.engine.flights.in_flight() == 0
         finally:
             srv.shutdown()
-
-    def test_burst_matches_serial_results(self):
-        serial = CExplorer()
-        serial.add_graph("dblp", _graph())
-        expected = {
-            vertex: json.dumps(
-                [c.to_dict() for c in serial.search("acq", vertex,
-                                                    k=3)])
-            for vertex in ("jim gray", "michael stonebraker")
-        }
-        explorer = CExplorer(workers=2)
-        explorer.add_graph("dblp", _graph())
-        srv = make_async_server(explorer, port=0, batch_window=0.05)
-        srv.start_background()
-        try:
-            got = {}
-
-            def query(vertex):
-                _, _, doc = _post(srv, "/v1/search",
-                                  {"vertex": vertex, "k": 3,
-                                   "algorithm": "acq"})
-                got[vertex] = json.dumps(doc["data"]["communities"])
-
-            threads = [threading.Thread(target=query, args=(v,))
-                       for v in expected]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert got == expected
-        finally:
-            srv.shutdown()
-
-
-class TestAsyncTransport:
-    def test_keep_alive_and_html(self, async_server):
-        status, headers, doc = _get(async_server, "/v1/algorithms")
-        assert status == 200 and doc["ok"]
-        with urllib.request.urlopen(_url(async_server, "/")) as resp:
-            assert resp.headers["Content-Type"].startswith("text/html")
-            assert b"C-Explorer" in resp.read()
-
-    def test_prometheus_exposition(self, async_server):
-        with urllib.request.urlopen(
-                _url(async_server, "/metrics")) as resp:
-            assert resp.headers["Content-Type"].startswith("text/plain")
-            assert "repro_uptime_seconds" in resp.read().decode()
+            explorer.engine.shutdown()

@@ -131,3 +131,47 @@ class TestBackendFlag:
         with pytest.raises(SystemExit):
             main(["search", "--graph", dblp_file, "--vertex",
                   "Jim Gray", "--backend", "fibers"])
+
+
+class TestServe:
+    def test_sigint_shuts_the_engine_down(self, dblp_file, tmp_path):
+        """Ctrl-C on ``serve --store`` spills the served results."""
+        import glob
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import urllib.request
+
+        store = str(tmp_path / "store")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--graph",
+             dblp_file, "--port", "0", "--store", store],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+            text=True)
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"serving on http://[^:]+:(\d+)/", line)
+            assert match, line
+            req = urllib.request.Request(
+                "http://127.0.0.1:{}/v1/search".format(match.group(1)),
+                data=json.dumps({"vertex": "jim gray",
+                                 "k": 3}).encode("utf-8"),
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(req, timeout=60) as resp:
+                assert json.loads(resp.read())["ok"]
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        spilled = glob.glob(os.path.join(store, "*", "results", "*",
+                                         "*.pkl"))
+        assert spilled, os.listdir(store)

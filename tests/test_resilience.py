@@ -175,7 +175,6 @@ class TestRetryPolicy:
 
     def test_job_class_policies(self):
         assert POLICIES["full_query"].hedge
-        assert not POLICIES["full_query_batch"].hedge
         assert not POLICIES["detect"].hedge
         assert all(issubclass(exc, CExplorerError) for exc in RETRYABLE)
 
@@ -462,36 +461,6 @@ class TestHedging:
             assert elapsed < 0.4
         finally:
             engine.shutdown()
-
-    def test_batch_jobs_never_hedge(self):
-        assert not POLICIES["full_query_batch"].hedge
-
-
-# ----------------------------------------------------------------------
-# blast radius: batch member isolation
-# ----------------------------------------------------------------------
-
-class TestBatchMemberIsolation:
-    def test_failed_member_retried_solo_group_survives(self):
-        from repro.engine.batching import QueryBatcher
-        baseline = _explorer()
-        queries = [("acq", v, 3) for v in VERTICES[:4]]
-        expected = [_canon(baseline.search(a, v, k=k))
-                    for a, v, k in queries]
-        explorer = _explorer(
-            backend="process",
-            faults=FaultPlan.from_spec("seed=9;kill:batch_member@0.5"))
-        batcher = QueryBatcher(explorer, window=0.02)
-        try:
-            futures = [batcher.submit(a, v, k=k)
-                       for a, v, k in queries]
-            got = [_canon(f.result(60.0)) for f in futures]
-            assert got == expected
-            counters = _resilience(explorer)["counters"]
-            assert counters["batch_member_retries"] >= 1
-        finally:
-            batcher.close()
-            explorer.engine.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,7 @@ class TestTraceRecorder:
 def _sample_metrics_doc():
     return {
         "uptime_seconds": 12.5,
-        "requests": {"/api/search": 4, "/api/metrics": 1},
+        "requests": {"/v1/search": 4, "/v1/metrics": 1},
         "errors": 1,
         "engine": {
             "queue_depth": 0,
@@ -340,17 +340,17 @@ def _get_json(server, path):
 class TestProcessTraceAcceptance:
     def _run_traced_query(self, server, algorithm="acq", k=3):
         req = urllib.request.Request(
-            _url(server, "/api/search"),
+            _url(server, "/v1/search"),
             data=json.dumps({"vertex": "Jim Gray", "k": k,
                              "algorithm": algorithm}).encode("utf-8"),
             headers={"Content-Type": "application/json"})
         with urllib.request.urlopen(req) as resp:
-            doc = json.loads(resp.read())
+            doc = json.loads(resp.read())["data"]
         assert "trace" in doc["query"]
         status, trace = _get_json(
-            server, "/api/traces/" + doc["query"]["trace"])
+            server, "/v1/traces/" + doc["query"]["trace"])
         assert status == 200
-        return trace
+        return trace["data"]
 
     def test_trace_covers_worker_execution(self, traced_server):
         trace = self._run_traced_query(traced_server)
@@ -398,8 +398,9 @@ class TestProcessTraceAcceptance:
     def test_traces_listing_and_limit(self, traced_server):
         # A fresh k keys a cache miss; hits record no trace at all.
         self._run_traced_query(traced_server, k=4)
-        status, doc = _get_json(traced_server, "/api/traces?limit=1")
+        status, doc = _get_json(traced_server, "/v1/traces?limit=1")
         assert status == 200
+        doc = doc["data"]
         assert len(doc["traces"]) == 1
         assert doc["stats"]["recorded"] >= 1
         summary = doc["traces"][0]
@@ -408,7 +409,7 @@ class TestProcessTraceAcceptance:
 
     def test_unknown_trace_404(self, traced_server):
         with pytest.raises(urllib.error.HTTPError) as err:
-            _get(traced_server, "/api/traces/q999999")
+            _get(traced_server, "/v1/traces/q999999")
         assert err.value.code == 404
 
     def test_metrics_exposition_endpoint(self, traced_server):

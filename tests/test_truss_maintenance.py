@@ -11,7 +11,7 @@ The load-bearing invariants:
   disjoint from their footprint, and every surviving entry is
   byte-identical to recomputation;
 * **observability** -- invalidation reasons and cascade sizes surface
-  through ``/api/metrics``, and the evict-all counter stays at zero
+  through ``/v1/metrics``, and the evict-all counter stays at zero
   for maintained updates.
 """
 
@@ -357,10 +357,10 @@ class TestMetricsSurface:
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
         thread.start()
         try:
-            url = "http://127.0.0.1:{}/api/metrics".format(
+            url = "http://127.0.0.1:{}/v1/metrics".format(
                 srv.server_address[1])
             with urllib.request.urlopen(url) as resp:
-                doc = json.loads(resp.read())
+                doc = json.loads(resp.read())["data"]
         finally:
             srv.shutdown()
         assert "truss_invalidations" in doc
