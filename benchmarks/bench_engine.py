@@ -578,6 +578,7 @@ def test_concurrent_serving(benchmark, dblp, quick):
         return seconds, answers, {
             "shared_answers": snapshot["counters"].get(
                 "shared_answers", 0),
+            "cache_hits": snapshot["cache"]["hits"],
             "executions": snapshot["latency"]["search"]["count"],
         }
 
@@ -598,11 +599,15 @@ def test_concurrent_serving(benchmark, dblp, quick):
 
     doc = benchmark.pedantic(run, rounds=1, iterations=1)
     # Single-flight really coalesced the herd: one execution per
-    # round, and most answers shared from a leader's execution rather
-    # than recomputed (the rest were cache hits).
-    assert doc["single_flight"]["executions"] == rounds, doc
-    assert doc["single_flight"]["shared_answers"] >= \
-        (clients - 1) * rounds // 2, doc
+    # round.  Every other answer was shared from that execution while
+    # it ran, or -- for a request arriving after it finished -- read
+    # from the cache entry it filled; the split between the two is
+    # timing, the sum is not.
+    stats = doc["single_flight"]
+    assert stats["executions"] == rounds, doc
+    assert stats["shared_answers"] >= 1, doc
+    assert stats["shared_answers"] + stats["cache_hits"] == \
+        (clients - 1) * rounds, doc
     # The acceptance floor: >= 1.5x serving throughput for >= 8
     # concurrent overlapping clients.  The quick pool is too small to
     # amortise server startup, so it only guards against gross loss.
