@@ -437,8 +437,6 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
             if backend == "process":
                 results["process_fallbacks"] = \
                     cold.engine.stats.get("process_fallbacks")
-                results["index_build_fallbacks"] = \
-                    cold.indexes.build_fallbacks
             cold.engine.shutdown()
         assert backend_results["thread"] == backend_results["process"]
         return results
@@ -447,8 +445,7 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
     direct = results["direct"]
     warm = results["engine_warm_1w"]
     seconds = {key: val for key, val in results.items()
-               if key not in ("cache", "process_fallbacks",
-                              "index_build_fallbacks")}
+               if key not in ("cache", "process_fallbacks")}
 
     # The acceptance shape: a warm cache beats recomputation -- >= 10x
     # on the full pool, >= 2x even on the tiny quick-mode pool.
@@ -462,9 +459,8 @@ def test_engine_vs_direct(benchmark, dblp, dblp_index, quick):
     # The warm pool served everything from cache.
     assert results["cache"]["hits"] >= len(pool)
     # No silent degradation: the process pass really ran in the pool
-    # (neither query jobs nor index builds fell back in-process).
+    # (no query job fell back in-process).
     assert results["process_fallbacks"] == 0, results
-    assert results["index_build_fallbacks"] == 0, results
     # The per-backend cold pass only records the numbers: on this
     # 2,000-author graph each process worker builds its own core
     # numbers and CL-tree, which costs more than the thread pool's one

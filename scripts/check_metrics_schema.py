@@ -43,7 +43,7 @@ ENGINE_KEYS = ("queue_depth", "in_flight", "workers", "counters",
                "latency", "traces", "resilience", "payloads")
 # The payload-plane block (see repro.engine.payloads.plane_stats).
 PAYLOAD_KEYS = ("transport", "shm_available", "shm_segments",
-                "payload_bytes", "registry_entries", "attach_failures")
+                "payload_bytes", "attach_failures")
 TRACE_KEYS = ("enabled", "capacity", "buffered", "recorded",
               "slow_queries", "slow_threshold_seconds")
 HISTOGRAM_KEYS = ("count", "mean_ms", "p50_ms", "p95_ms", "max_ms",
@@ -52,8 +52,7 @@ CACHE_KEYS = ("hits", "misses", "evictions", "invalidations", "entries")
 # The resilience block the Prometheus renderer and the chaos CI job
 # read (see repro.engine.retry.ResiliencePlane.snapshot).
 RESILIENCE_KEYS = ("counters", "breakers", "quarantined", "degraded")
-RESILIENCE_COUNTERS = ("retries", "retry_exhausted", "hedges",
-                       "hedges_won", "hedges_lost", "quarantines",
+RESILIENCE_COUNTERS = ("retries", "retry_exhausted", "quarantines",
                        "breaker_rejections", "payload_retries",
                        "faults_injected")
 BREAKER_KEYS = ("state", "consecutive_failures", "opens", "probes",
@@ -122,7 +121,7 @@ def check_json_metrics(doc):
             yield ("resilience counter {!r} is {!r}, not a "
                    "non-negative int".format(key, counters.get(key)))
     breakers = resilience.get("breakers", {})
-    for backend in ("process", "thread"):
+    for backend in ("process",):
         breaker = breakers.get(backend)
         if breaker is None:
             yield "no {!r} circuit breaker in resilience doc".format(

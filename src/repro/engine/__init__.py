@@ -20,17 +20,17 @@ The modules
     :class:`~repro.engine.executor.QueryEngine`: a bounded worker pool
     with an admission-controlled request queue (full queue -> immediate
     :class:`~repro.util.errors.EngineBusyError`, surfaced as HTTP 429),
-    per-query deadlines, best-effort cancellation, and a synchronous
-    ``execute`` path for library callers.
+    per-query deadlines, best-effort cancellation, a synchronous
+    ``execute`` path for library callers, and ``run_jobs``, the one
+    place whole-query and detection jobs run: in the process pool, or
+    serially on the calling thread when there is no pool or its
+    circuit breaker is open.
 
 ``cache``
     :class:`~repro.engine.cache.ResultCache`: an LRU over
     ``(graph, algorithm, normalized query params)`` with
     hit/miss/eviction/invalidation counters and footprint-based
-    *selective* invalidation, plus
-    :class:`~repro.engine.cache.SubproblemMemo` for intermediates
-    (core decompositions, CL-tree keyword lookups) shared across
-    overlapping queries.
+    *selective* invalidation.
 
 ``index_manager``
     :class:`~repro.engine.index_manager.IndexManager`: explicit
@@ -60,10 +60,14 @@ The modules
 
 ``backends``
     Execution backends.  :class:`~repro.engine.backends.ProcessBackend`
-    plus the picklable job functions that let whole queries,
-    per-component detections and CL-tree builds run in a
+    plus the picklable job functions that let whole queries and
+    detections (whole-graph or per component) run in a
     ``multiprocessing`` pool over frozen CSR snapshots
     (:class:`~repro.graph.frozen.FrozenGraph`).
+
+``retry`` / ``faults``
+    Per-job retry policies, the process pool's circuit breaker,
+    payload quarantine, and seeded fault injection.
 
 Choosing a backend
 ==================
@@ -71,16 +75,15 @@ Choosing a backend
 ``QueryEngine(backend="thread")`` (default) keeps everything
 in-process: shared memory, no serialisation, lowest latency -- the
 right choice for small graphs, warm-cache interactive traffic, and
-single-core hosts, and exactly the pre-backend behaviour.
-``backend="process"`` ships CPU-bound work (whole searches and
-detections, core decompositions, CL-tree builds) to worker processes
-fed by :class:`~repro.graph.frozen.FrozenGraph` snapshots, dodging the
-GIL -- pick it on multi-core hosts where cold structural queries and
-index builds dominate.  Results are identical either way
-(a property-tested invariant); the process backend transparently
-falls back in-process on any pool failure, and its overheads are
-observable as ``snapshot_build`` / ``shard_ipc`` /
-``index_build_ipc`` latency ops in ``/v1/metrics``::
+single-core hosts.  ``backend="process"`` ships whole searches and
+detections to worker processes fed by
+:class:`~repro.graph.frozen.FrozenGraph` snapshots, dodging the GIL
+-- pick it on multi-core hosts where cold structural queries
+dominate.  Index builds run in-process on both backends.  Results
+are identical either way (a property-tested invariant); the process
+backend transparently falls back in-process on any pool failure, and
+its overheads are observable as ``snapshot_build`` / ``shard_ipc``
+latency ops in ``/v1/metrics``::
 
     explorer = CExplorer(workers=4, backend="process")
     explorer.add_graph("dblp", generate_dblp_graph())
@@ -115,7 +118,7 @@ from repro.engine.backends import (
     ProcessBackend,
     ProcessBackendError,
 )
-from repro.engine.cache import ResultCache, SubproblemMemo, query_key
+from repro.engine.cache import ResultCache, query_key
 from repro.engine.executor import EngineFuture, QueryEngine
 from repro.engine.faults import FaultPlan, FaultRule
 from repro.engine.index_manager import IndexManager, IndexSnapshot
@@ -146,7 +149,6 @@ __all__ = [
     "ResiliencePlane",
     "ResultCache",
     "RetryPolicy",
-    "SubproblemMemo",
     "TraceRecorder",
     "plan_search",
     "query_key",

@@ -1,12 +1,12 @@
-"""Execution backends: where engine work actually runs.
+"""Execution backends: where engine jobs actually run.
 
 The :class:`~repro.engine.executor.QueryEngine` always owns a bounded
 *thread* pool -- admission control, deadlines and cancellation live
 there, and for I/O-light interactive traffic (cache hits, planning,
-small searches) threads are the right tool.  But the CPU-heavy
-structural kernels (core decomposition, CL-tree builds, whole
-searches) serialise behind the GIL: a thread pool buys concurrency,
-not parallelism.  This module adds the **process backend**:
+small searches) threads are the right tool.  But CPU-heavy whole
+searches and detections serialise behind the GIL: a thread pool buys
+concurrency, not parallelism.  This module adds the **process
+backend**:
 
 * :class:`ProcessBackend` -- a lazily started
   ``concurrent.futures.ProcessPoolExecutor`` (``fork`` context where
@@ -16,27 +16,29 @@ not parallelism.  This module adds the **process backend**:
 * module-level **job functions** -- process jobs must be picklable,
   so the work units ship as top-level functions fed by
   :class:`~repro.graph.frozen.FrozenGraph` payloads:
-  :func:`shard_full_query_job` (one whole community search),
+  :func:`shard_full_query_job` (one whole community search) and
   :func:`component_detect_job` (a detection, or one component's
-  slice of it) and :func:`build_index_job` (a core + CL-tree build);
-* a small **worker-side payload cache** keyed by the payload's
-  ``(manager epoch, graph, version)`` identity -- repeated queries
-  against an unchanged graph skip both the payload resolution and the
-  derived decompositions in the worker.
+  slice of it);
+* a small **worker-side payload cache** holding one entry per
+  ``(manager epoch, graph)`` -- repeated queries against an unchanged
+  graph skip both the payload resolution and the derived
+  decompositions in the worker, and a newer version replaces the
+  entry together with its shared-memory mapping.
 
 Choosing a backend
 ==================
 
-``backend="thread"`` (default): lowest latency, shared memory, exact
-pre-PR behaviour.  Right for small graphs, cache-heavy interactive
-traffic, or single-core hosts.  ``backend="process"``: whole queries
-and CL-tree builds run in separate processes on frozen CSR snapshots
--- real parallelism for CPU-bound structural work on multi-core
-hosts, at the cost of payload shipping (measured and reported as
-``snapshot_build`` / ``shard_ipc`` in ``/v1/metrics``).
-Results are identical either way (a tested invariant); every process
-failure falls back to in-process execution rather than failing the
-query.
+``backend="thread"`` (default): every job runs serially on the engine
+thread that executes the query -- lowest latency, shared memory.
+Right for small graphs, cache-heavy interactive traffic, or
+single-core hosts.  ``backend="process"``: whole queries and
+detections run in separate processes on frozen CSR snapshots -- real
+parallelism for CPU-bound work on multi-core hosts, at the cost of
+payload shipping (measured and reported as ``snapshot_build`` /
+``shard_ipc`` in ``/v1/metrics``).  Index builds run in-process on
+either backend.  Results are identical either way (a tested
+invariant); every process failure falls back to in-process execution
+rather than failing the query.
 """
 
 import pickle
@@ -61,9 +63,11 @@ from repro.util.errors import (
 
 BACKENDS = ("thread", "process")
 
-# Worker-side cache: payload key -> the snapshot plus its lazily built
-# derived structures (see _full_graph_entry).  Bounded: version churn
-# on long-lived workers must not grow it without limit.
+# Worker-side cache: (manager epoch, graph) -> the entry of the newest
+# payload seen for that graph, i.e. the snapshot plus its lazily built
+# derived structures (see _full_graph_entry).  Bounded at one entry per
+# graph; the cap below bounds the graphs of discarded engines in a
+# long-lived parent that runs jobs in-process.
 _WORKER_CACHE = {}
 _WORKER_CACHE_MAX = 64
 
@@ -105,8 +109,8 @@ def check_deadline():
 
     Raises :class:`~repro.util.errors.QueryTimeoutError` once the
     caller's deadline has passed -- so an orphaned job (its parent
-    already timed out, or it lost a hedge race) self-cancels at the
-    next phase boundary instead of burning a worker to completion.
+    already timed out) self-cancels at the next phase boundary
+    instead of burning a worker to completion.
     """
     deadline = getattr(_job_env, "deadline", None)
     if deadline is not None and time.time() > deadline:
@@ -150,11 +154,10 @@ def _timed_job(fn, args, fault=None, deadline=None):
 def _loads_payload(key, blob):
     """Resolve a shipped payload to its object form.
 
-    ``blob`` is either a payload-plane ref (shared-memory segment or
-    fork-registry locator, resolved zero-copy by
-    :func:`repro.engine.payloads.attach`) or the pickled bytes of the
-    fallback rung.  Any failure -- torn segment, registry miss,
-    undecodable bytes -- becomes
+    ``blob`` is either a shared-memory payload ref (resolved zero-copy
+    by :func:`repro.engine.payloads.attach`) or the pickled bytes of
+    the fallback transport.  Any failure -- torn segment, undecodable
+    bytes -- becomes
     :class:`~repro.util.errors.PayloadCorruptionError` carrying the
     payload identity, the signal the engine's quarantine keys on."""
     if payload_plane.is_ref(blob):
@@ -170,32 +173,47 @@ def _loads_payload(key, blob):
 def _full_graph_entry(key, payload):
     """The worker's cached state for one whole-graph payload.
 
-    ``payload`` is either the pickled :class:`~repro.graph.frozen.
-    FrozenGraph` blob (process shipping) or the snapshot object itself
-    (in-process fallback, where no serialisation hop exists).  The
-    returned dict caches the snapshot and, lazily, every derived
-    structure a whole query may need -- core numbers, the CL-tree, the
-    truss map -- so an unchanged graph pays each decomposition once
-    per worker, not once per query.
+    ``payload`` is a shared-memory ref or the pickled
+    :class:`~repro.graph.frozen.FrozenGraph` blob (process shipping),
+    or the snapshot object itself (in-process execution, where no
+    serialisation hop exists).  The returned dict caches the snapshot
+    and, lazily, every derived structure a whole query may need --
+    core numbers, the CL-tree, the truss map -- so an unchanged graph
+    pays each decomposition once per worker, not once per query.
+
+    ``key`` is the payload identity ``(manager epoch, graph, "full",
+    version)``; the cache holds one entry per ``(manager epoch,
+    graph)``, so a payload of another version replaces the entry and
+    drops its shared-memory mapping.
     """
-    entry = _WORKER_CACHE.get(key)
-    if entry is None:
-        if isinstance(payload, (bytes, bytearray)):
-            with tracing.span("index_thaw", bytes=len(payload)):
-                frozen = _loads_payload(key, payload)
-        elif payload_plane.is_ref(payload):
-            # Zero-copy rung: attach the shared segment (or registry
-            # snapshot) instead of unpickling -- near-free, but still
-            # spanned so traces show which rung served the query.
-            with tracing.span("index_thaw", zero_copy=True):
-                frozen = _loads_payload(key, payload)
-        else:
-            frozen = payload
-        entry = {"frozen": frozen}
-        if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
-            _WORKER_CACHE.clear()
-        _WORKER_CACHE[key] = entry
+    slot = key[:2]
+    entry = _WORKER_CACHE.get(slot)
+    if entry is not None and entry["key"] == key:
+        return entry
+    if isinstance(payload, (bytes, bytearray)):
+        with tracing.span("index_thaw", bytes=len(payload)):
+            frozen = _loads_payload(key, payload)
+    elif payload_plane.is_ref(payload):
+        # Zero-copy: attach the shared segment instead of unpickling
+        # -- near-free, but still spanned so traces show it.
+        with tracing.span("index_thaw", zero_copy=True):
+            frozen = _loads_payload(key, payload)
+    else:
+        frozen = payload
+    _evict(slot)
+    if len(_WORKER_CACHE) >= _WORKER_CACHE_MAX:
+        for other in list(_WORKER_CACHE):
+            _evict(other)
+    entry = _WORKER_CACHE[slot] = {"key": key, "payload": payload,
+                                   "frozen": frozen}
     return entry
+
+
+def _evict(slot):
+    """Drop one worker cache entry and its shared-memory mapping."""
+    entry = _WORKER_CACHE.pop(slot, None)
+    if entry is not None and payload_plane.is_ref(entry["payload"]):
+        payload_plane.detach(entry["payload"])
 
 
 def _entry_core(entry):
@@ -307,20 +325,6 @@ def component_detect_job(key, payload, algorithm, component, params):
     return wires
 
 
-def build_index_job(frozen, core=None):
-    """Build ``(core numbers, CL-tree)`` over a frozen graph.
-
-    The returned tree's ``graph`` attribute still points at the frozen
-    snapshot; the parent rebinds it to the live graph object before
-    installing the snapshot (node structure, homed vertices and
-    inverted lists are graph-object independent).
-    """
-    if core is None:
-        core = core_decomposition(frozen)
-    tree = build_cltree(frozen, core=core)
-    return core, tree
-
-
 # ----------------------------------------------------------------------
 # the process pool
 # ----------------------------------------------------------------------
@@ -330,8 +334,8 @@ class ProcessBackend:
 
     Thin by design: admission control, deadlines and stats stay in the
     :class:`~repro.engine.executor.QueryEngine`; this class only ships
-    picklable jobs and reports ``(results, child_seconds,
-    ipc_seconds)`` so the engine can separate compute from transport.
+    picklable jobs and hands back each job's ``(child_seconds, spans,
+    result)`` so the engine can separate compute from transport.
     """
 
     def __init__(self, workers):
@@ -380,8 +384,7 @@ class ProcessBackend:
         (breaking the pool so the next use starts fresh),
         :class:`~repro.util.errors.JobPayloadError` for a payload that
         failed to pickle in the feeder thread (the pool survives; only
-        this job fails -- unpicklable payloads used to take the whole
-        fan-out down with a pool fallback), and any worker-raised
+        this job fails), and any worker-raised
         exception as itself."""
         try:
             return future.result(budget)
@@ -400,60 +403,6 @@ class ProcessBackend:
             # AttributeError, an unpicklable value a TypeError).
             raise JobPayloadError(
                 "job payload did not pickle: {}".format(exc)) from exc
-
-    def run_jobs(self, jobs, timeout=None, collect_spans=False):
-        """Run ``(fn, args)`` jobs concurrently in worker processes.
-
-        Returns ``(results, child_seconds, ipc_seconds)`` in job
-        order; ``child_seconds[i]`` is job ``i``'s in-worker compute
-        time, ``ipc_seconds[i]`` the rest of its round-trip (queueing
-        + pickling both ways).  With ``collect_spans=True`` a fourth
-        element is appended: per-job wire-format tracing span lists
-        recorded inside the workers (the engine grafts them into the
-        query's trace).  Raises :class:`ProcessBackendError` on a
-        broken pool, :class:`~repro.util.errors.JobPayloadError` for
-        an unpicklable job (pool intact), and
-        :class:`QueryTimeoutError` when ``timeout`` elapses.
-        """
-        wall_deadline = (time.time() + timeout
-                         if timeout is not None else None)
-        submitted = [(time.perf_counter(),
-                      self.submit_job(fn, args, deadline=wall_deadline))
-                     for fn, args in jobs]
-        results = []
-        child_seconds = []
-        ipc_seconds = []
-        job_spans = []
-        deadline = (time.perf_counter() + timeout
-                    if timeout is not None else None)
-        for i, (started, future) in enumerate(submitted):
-            budget = None
-            if deadline is not None:
-                budget = max(deadline - time.perf_counter(), 0.0)
-            try:
-                child, spans, result = self.job_result(future, budget)
-            except QueryTimeoutError:
-                for _, later in submitted[i:]:
-                    later.cancel()
-                raise QueryTimeoutError(
-                    "process fan-out did not finish within "
-                    "{:.3f}s".format(timeout)) from None
-            roundtrip = time.perf_counter() - started
-            results.append(result)
-            child_seconds.append(child)
-            ipc_seconds.append(max(roundtrip - child, 0.0))
-            job_spans.append(spans)
-        if collect_spans:
-            return results, child_seconds, ipc_seconds, job_spans
-        return results, child_seconds, ipc_seconds
-
-    def run_build(self, frozen, core=None):
-        """One :func:`build_index_job` in a worker; returns
-        ``(core, cltree, child_seconds)``."""
-        results, child_seconds, _ = self.run_jobs(
-            [(build_index_job, (frozen, core))])
-        core, tree = results[0]
-        return core, tree, child_seconds[0]
 
     def _break(self):
         """Drop a broken pool so the next use starts a fresh one."""

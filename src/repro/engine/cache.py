@@ -1,21 +1,15 @@
-"""The engine's result cache and memoized subproblem store.
+"""The engine's result cache.
 
 Interactive exploration repeats itself: every ``display`` click
 re-runs its search, compare screens re-run each method, and many users
 probe the same hub authors.  FDB-style sharing of computation across
-overlapping queries (PAPERS.md) is the win this module captures:
-
-* :class:`ResultCache` -- an LRU over ``(graph, algorithm, normalized
-  query params)`` with hit/miss/eviction/invalidation counters and
-  *selective* invalidation: entries record the vertex footprint of
-  their result, so a maintenance update only evicts entries whose
-  footprint touches the affected region (for algorithm families where
-  that is sound; everything else is dropped conservatively).
-
-* :class:`SubproblemMemo` -- memoized shared subproblems (core
-  decompositions, CL-tree keyword candidate lists, k-core membership
-  sets) keyed by ``(graph, index version, kind, key)``, so overlapping
-  queries rebuild none of the expensive intermediates.
+overlapping queries (PAPERS.md) is the win this module captures.
+:class:`ResultCache` is an LRU over ``(graph, algorithm, normalized
+query params)`` with hit/miss/eviction/invalidation counters and
+*selective* invalidation: entries record the vertex footprint of their
+result, so a maintenance update only evicts entries whose footprint
+touches the affected region (for algorithm families where that is
+sound; everything else is dropped conservatively).
 
 Keys are produced by :func:`query_key`, which canonicalises parameter
 order (multi-vertex queries and keyword sets are order-insensitive).
@@ -285,77 +279,4 @@ class ResultCache:
                 "spill_hits": self.spill_hits,
                 "spill": self.spill.stats() if self.spill is not None
                 else {"enabled": False},
-            }
-
-
-class SubproblemMemo:
-    """LRU memo for expensive intermediates shared across queries.
-
-    Keys carry the owning graph and its index *version*, so a
-    maintenance update orphans old entries without any coordination;
-    :meth:`invalidate` reclaims the memory eagerly.
-    """
-
-    def __init__(self, capacity=128):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._data = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compute(self, graph_name, version, kind, key, compute):
-        """Return the memoized value, computing (and storing) on miss.
-
-        ``compute`` runs outside the lock; concurrent first callers may
-        compute twice but the result is consistent (last write wins).
-        """
-        full_key = (graph_name, version, kind, _canonical(key))
-        with self._lock:
-            if full_key in self._data:
-                self._data.move_to_end(full_key)
-                self.hits += 1
-                return self._data[full_key]
-            self.misses += 1
-        value = compute()
-        with self._lock:
-            self._data[full_key] = value
-            self._data.move_to_end(full_key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-        return value
-
-    def invalidate(self, graph_name=None, version=None):
-        """Drop stale entries (or everything, when nothing is known).
-
-        ``graph_name=None`` clears the whole memo.  With only a graph
-        name, every entry of that graph goes; with the graph's
-        *current* ``version`` supplied, only entries keyed at an older
-        version go.
-        """
-        with self._lock:
-            if graph_name is None:
-                self._data.clear()
-                return
-            stale = [key for key in self._data
-                     if key[0] == graph_name
-                     and (version is None or key[1] != version)]
-            for key in stale:
-                del self._data[key]
-
-    def __len__(self):
-        with self._lock:
-            return len(self._data)
-
-    def stats(self):
-        """Occupancy and hit-rate counters for the metrics endpoint."""
-        with self._lock:
-            total = self.hits + self.misses
-            return {
-                "entries": len(self._data),
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": round(self.hits / total, 4) if total else 0.0,
             }

@@ -18,24 +18,16 @@ algorithms (the Polynesia argument in PAPERS.md):
 * **cancellation** -- best-effort: a request still in the queue is
   dropped, a running one finishes but its result is discarded (Python
   threads cannot be killed);
-* the engine-level :class:`~repro.engine.cache.ResultCache` and
-  :class:`~repro.engine.cache.SubproblemMemo`, wired to the
-  :class:`~repro.engine.index_manager.IndexManager` so maintenance
+* the engine-level :class:`~repro.engine.cache.ResultCache`, wired to
+  the :class:`~repro.engine.index_manager.IndexManager` so maintenance
   updates selectively evict stale entries;
-* **fan-out** -- :meth:`QueryEngine.map_shards` pushes subjobs (the
-  per-component slices of a detection) onto the same pool with *work
-  stealing*: the coordinating thread claims any subjob no worker has
-  started (via the future's run-once CAS) and executes it inline, so a
-  fan-out makes progress even when every worker is busy -- including
-  when the coordinator *is* the only worker (no nested-submission
-  deadlock);
-* an **execution backend** (``backend="thread" | "process"``, see
-  :mod:`repro.engine.backends`) -- with the process backend,
-  :meth:`QueryEngine.map_shard_jobs` ships whole queries, detections
-  (and the index manager's CL-tree builds) to a ``multiprocessing``
-  pool over frozen-graph payloads, dodging the GIL for CPU-bound
-  structural work; any pool failure falls back to in-process
-  execution with identical results;
+* **one job shape** -- :meth:`QueryEngine.run_jobs` runs whole-query
+  and detection jobs over frozen-graph payloads: in a
+  ``multiprocessing`` pool under the process backend (see
+  :mod:`repro.engine.backends`), dodging the GIL for CPU-bound work,
+  and serially on the calling thread when there is no pool or the
+  pool's circuit breaker is open -- with identical results, per-job
+  retries and fault injection either way;
 * **single-flight dedup** -- concurrent identical cache-missing
   searches share one execution (:mod:`repro.engine.batching`);
 * :class:`~repro.engine.stats.EngineStats` latency histograms behind
@@ -51,8 +43,6 @@ import queue
 import threading
 import time
 import weakref
-from concurrent.futures import FIRST_COMPLETED
-from concurrent.futures import wait as _futures_wait
 
 from repro.core.community import Community
 from repro.engine import faults as fault_injection
@@ -62,7 +52,7 @@ from repro.engine.backends import (
     set_job_deadline,
     validate_backend,
 )
-from repro.engine.cache import ResultCache, SubproblemMemo
+from repro.engine.cache import ResultCache
 from repro.engine.faults import FaultPlan
 from repro.engine.index_manager import IndexManager
 from repro.engine import payloads as payload_plane
@@ -80,8 +70,8 @@ from repro.util.errors import (
 )
 
 # The deadline of the engine job the current thread is executing
-# (perf_counter based); fan-outs read it so retries, hedges and
-# shipped worker deadlines never outlive the caller's budget.
+# (perf_counter based); run_jobs reads it so retries and shipped
+# worker deadlines never outlive the caller's budget.
 _job_context = threading.local()
 
 _PENDING, _RUNNING, _DONE, _CANCELLED = range(4)
@@ -117,8 +107,7 @@ class EngineFuture:
     # -- state transitions (engine side) --------------------------------
     def set_running(self):
         """Claim the job (run-once CAS); False when already claimed,
-        cancelled or done -- the work-stealing fan-out races workers
-        on exactly this call."""
+        cancelled or done."""
         with self._lock:
             if self._state != _PENDING:
                 return False
@@ -257,7 +246,7 @@ class QueryEngine:
 
     def __init__(self, explorer=None, workers=2, max_queue=64,
                  default_timeout=None, cache_size=512,
-                 index_manager=None, memo_size=128, backend="thread",
+                 index_manager=None, backend="thread",
                  trace_capacity=256, slow_query_seconds=1.0,
                  tracing_enabled=True, faults=None, store=None):
         if workers < 1:
@@ -272,7 +261,6 @@ class QueryEngine:
         self.indexes = index_manager if index_manager is not None \
             else IndexManager()
         self.cache = ResultCache(cache_size)
-        self.memo = SubproblemMemo(memo_size)
         # Optional persistent warm store: result-cache entries spill
         # to disk on eviction/shutdown and readmit lazily, keyed
         # ``(graph, version, query)`` -- see repro.engine.payloads.
@@ -285,7 +273,7 @@ class QueryEngine:
         self.flights = SingleFlight(self.stats)
         # Fault injection (None in production unless REPRO_FAULT_PLAN
         # is set -- the CI chaos job's hook) and the resilience plane:
-        # retry policies, substrate breakers, payload quarantine.
+        # retry policies, the process breaker, payload quarantine.
         self.faults = faults if faults is not None \
             else FaultPlan.from_env()
         self.resilience = ResiliencePlane(self.stats)
@@ -305,8 +293,6 @@ class QueryEngine:
         self._last_detect_parallelism = 0
         if self.backend == "process":
             self._process = ProcessBackend(workers)
-            # Index builds route through the pool too.
-            self.indexes.build_executor = self._build_in_process
         self.indexes.subscribe(self._on_index_event)
 
     # ------------------------------------------------------------------
@@ -335,10 +321,8 @@ class QueryEngine:
                 if self._process is not None:
                     self._process.close()
                     self._process = None
-                    self.indexes.build_executor = None
                 if self.backend == "process":
                     self._process = ProcessBackend(self.workers)
-                    self.indexes.build_executor = self._build_in_process
         return self
 
     def _ensure_started(self):
@@ -373,11 +357,6 @@ class QueryEngine:
             process, self._process = self._process, None
         if process is not None:
             process.close()
-            # Detach the build delegate (if it is still ours): a
-            # post-shutdown index build must run locally, not
-            # resurrect a pool nothing would ever close.
-            if self.indexes.build_executor == self._build_in_process:
-                self.indexes.build_executor = None
         self.cache.flush_spill()
         release = getattr(self.indexes, "release_payloads", None)
         if release is not None:
@@ -540,135 +519,55 @@ class QueryEngine:
         return self.explorer
 
     # ------------------------------------------------------------------
-    # fan-out
+    # job dispatch
     # ------------------------------------------------------------------
-    def map_shards(self, fns, op="job", resilient=True):
-        """Run zero-argument callables on the pool with work stealing.
+    def run_jobs(self, jobs, op="job"):
+        """Run picklable ``(fn, args)`` jobs; returns their results in
+        job order.
 
-        Every ``fn`` is submitted as a pool job; the calling thread
-        then walks its futures in order and *claims* any job no worker
-        has started yet (the future's ``set_running`` CAS), executing
-        it inline.  Free workers therefore supply parallelism, but the
-        fan-out never waits on a saturated pool -- in the worst case
-        the coordinator runs every subjob itself, which is exactly the
-        serial cost.  Jobs rejected by admission control run inline
-        immediately (internal subqueries must not 429).
-
-        Returns the results in submission order.
-
-        With ``resilient=True`` (default) each callable is wrapped in
-        the per-job retry/fault policy for ``op``: a transient failure
-        (injected kill, corrupt payload) retries that subjob alone
-        with backoff before the fan-out fails -- blast-radius isolation
-        for the thread substrate.  A subjob that exhausts its retries
-        (or raises a non-retryable error) still propagates to the
-        caller.
-        """
-        if resilient:
-            deadline = self._fanout_deadline()
-            fns = [self._resilient_call(fn, None, op, i, deadline,
-                                        substrate="thread")
-                   for i, fn in enumerate(fns)]
-        futures = []
-        for fn in fns:
-            wrapped = self._timed(fn)
-            try:
-                futures.append((self.submit(wrapped, op=op), wrapped))
-            except EngineBusyError:
-                futures.append((None, wrapped))
-        results = []
-        for i, (future, wrapped) in enumerate(futures):
-            try:
-                if future is None or future.set_running():
-                    # Rejected at admission, or claimed before any
-                    # worker got to it: run inline on the
-                    # coordinating thread.
-                    if future is not None:
-                        self.stats.count("shards_inline")
-                    try:
-                        with tracing.span("worker_execute", shard=i,
-                                          backend="inline"):
-                            elapsed, value = wrapped()
-                    except BaseException as exc:
-                        if future is not None:
-                            future.set_exception(exc)
-                        raise
-                    if future is not None:
-                        future.set_result((elapsed, value))
-                    self.stats.observe(op, elapsed)
-                else:
-                    elapsed, value = future.result(self.default_timeout)
-                    # The subjob ran on another worker thread (outside
-                    # this trace's context); record its measured span
-                    # from here so the fan-out is still attributable.
-                    tracing.add_span("worker_execute", elapsed,
-                                     shard=i, backend="thread")
-            except BaseException:
-                # Don't orphan the rest of the fan-out in the shared
-                # queue: unclaimed siblings are cancelled (running
-                # ones finish and are discarded).
-                for later, _ in futures[i + 1:]:
-                    if later is not None:
-                        later.cancel()
-                raise
-            results.append(value)
-        return results
-
-    @staticmethod
-    def _timed(fn):
-        def run():
-            """Execute ``fn`` and return ``(seconds, value)``."""
-            start = time.perf_counter()
-            value = fn()
-            return time.perf_counter() - start, value
-        return run
-
-    def map_shard_jobs(self, jobs, op="job"):
-        """Run picklable ``(fn, args)`` jobs on the process backend;
-        the GIL-free counterpart of :meth:`map_shards`.
-
-        The fault-tolerant fan-out.  The substrate is chosen by the
-        resilience plane's degradation ladder (``process`` ->
-        ``thread`` -> ``inline``): an open process breaker skips the
-        pool entirely, a pool death mid fan-out records a breaker
-        failure and falls back in-process -- results are identical,
-        only the parallelism differs.  On the process path each job
-        individually retries transient failures with backoff (capped
-        by the caller's remaining deadline, which also ships into the
-        worker for cooperative self-cancellation), a straggler past
-        p95 x alpha gets one hedged duplicate, an unpicklable job runs
-        inline without disturbing siblings, and a corrupt payload is
-        quarantined.  Child compute time is recorded under ``op``,
-        transport overhead under the ``shard_ipc`` latency op.
+        Under the process backend the jobs run in the pool -- unless
+        the process breaker is open, in which case (and on the thread
+        backend) they run serially on the calling thread.  A pool that
+        dies mid dispatch records a breaker failure and the jobs re-run
+        in-process: results are identical, only the parallelism
+        differs.  On the process path each job individually retries
+        transient failures with backoff (capped by the caller's
+        remaining deadline, which also ships into the worker for
+        cooperative self-cancellation), an unpicklable job runs on the
+        calling thread without disturbing the others, and a corrupt
+        payload is quarantined.  Child compute time is recorded under
+        ``op``, transport overhead under the ``shard_ipc`` latency op.
         """
         jobs = list(jobs)
-        deadline = self._fanout_deadline()
-        # One fault draw per job for the whole dispatch -- however the
-        # substrate ladder reroutes it, the injection stream stays
-        # aligned with the (op, invocation) counter, so a plan replays
-        # identically whatever the breakers are doing.
+        deadline = self._job_deadline()
+        # One fault draw per job for the whole dispatch -- wherever
+        # the job ends up running, the injection stream stays aligned
+        # with the (op, invocation) counter, so a plan replays
+        # identically whatever the breaker is doing.
         faults = [self.faults.draw(op) if self.faults is not None
                   else None for _ in jobs]
-        if self._process is not None:
-            level, _ = self.resilience.substrate("process")
-        else:
-            level, _ = self.resilience.substrate("thread")
-        if level == "process":
+        if self._process is not None and self.resilience.admit_process():
             try:
-                results = self._map_jobs_process(jobs, faults, op,
+                results = self._run_jobs_process(jobs, faults, op,
                                                  deadline)
             except ProcessBackendError:
                 self.stats.count("process_fallbacks")
-                self.resilience.record("process", False)
-                level, _ = self.resilience.substrate("thread")
+                self.resilience.record_process(False)
             else:
-                self.resilience.record("process", True)
+                self.resilience.record_process(True)
                 return results
-        return self._map_jobs_fallback(jobs, faults, op, deadline,
-                                       level)
+        results = []
+        for i, (fn, args) in enumerate(jobs):
+            start = time.perf_counter()
+            with tracing.span("worker_execute", shard=i,
+                              backend="inline"):
+                results.append(self._run_serial(fn, args, op, i,
+                                                deadline, faults[i]))
+            self.stats.observe(op, time.perf_counter() - start)
+        return results
 
-    # -- the process substrate ------------------------------------------
-    def _map_jobs_process(self, jobs, faults, op, deadline):
+    # -- the process pool -----------------------------------------------
+    def _run_jobs_process(self, jobs, faults, op, deadline):
         pool = self._process
         policy = self.resilience.policy(op)
         trace = tracing.current_trace()
@@ -682,14 +581,14 @@ class QueryEngine:
                     fault=fault_injection.worker_actions(actions),
                     deadline=wall)
             except JobPayloadError:
-                # This job cannot ship; run it inline later, leave
-                # the pool (and every sibling) alone.
+                # This job cannot ship; run it on this thread later,
+                # leave the pool (and every other job) alone.
                 future = None
             done_at = []
             if future is not None:
                 # Timestamp completion on the parent's clock (the
                 # callback runs in the pool's result-handler thread):
-                # the fan-out is collected serially, so "collection
+                # the jobs are collected in order, so "collection
                 # time minus child" would charge sibling compute skew
                 # to ``shard_ipc``; the done timestamp does not.
                 future.add_done_callback(
@@ -702,7 +601,7 @@ class QueryEngine:
                 fn, args = jobs[i]
                 if future is None:
                     child, spans, value = self._run_job_inline(
-                        fn, args, op, i, deadline)
+                        fn, args, op, i, deadline, faults[i])
                     ipc = 0.0
                 else:
                     try:
@@ -711,9 +610,9 @@ class QueryEngine:
                                 pool, future, fn, args, op, i, started,
                                 deadline, wall, policy)
                         # Prefer the done-callback timestamp; a retry
-                        # or hedge that won on a different future (its
-                        # completion predates the winning submission,
-                        # or never fired) falls back to now.
+                        # that won on a resubmitted future (whose
+                        # completion the callback never saw) falls
+                        # back to now.
                         now = time.perf_counter()
                         done = next((t for t in done_at
                                      if t >= started), now)
@@ -723,7 +622,7 @@ class QueryEngine:
                         # (surfaces on the future, not at submit):
                         # same escape hatch, pool and siblings intact.
                         child, spans, value = self._run_job_inline(
-                            fn, args, op, i, deadline)
+                            fn, args, op, i, deadline, faults[i])
                         ipc = 0.0
                 # Payload resolution inside the worker (the
                 # ``index_thaw`` spans: unpickling a shipped blob, or
@@ -744,7 +643,7 @@ class QueryEngine:
                                    tags={"shard": i})
                 results.append(value)
         except BaseException:
-            # Don't leave the rest of the fan-out running for nobody:
+            # Don't leave the rest of the dispatch running for nobody:
             # cancel what has not started (running jobs self-cancel
             # at their next cooperative deadline check).
             for _, later, _ in submitted[len(results):]:
@@ -762,23 +661,13 @@ class QueryEngine:
         attempt = 1
         while True:
             try:
-                child, spans, value = self._job_result_hedged(
-                    pool, future, fn, args, op, started, deadline,
-                    wall, policy)
+                child, spans, value = pool.job_result(
+                    future, self._remaining(deadline))
                 return child, spans, value, started
             except RETRYABLE as exc:
                 self._quarantine_if_corrupt(exc)
-                delay = policy.backoff(
-                    attempt, token="{}:{}".format(op, index))
-                if attempt >= policy.attempts or (
-                        deadline is not None
-                        and time.perf_counter() + delay >= deadline):
-                    self.stats.count("retry_exhausted")
-                    raise
-                self.stats.count("retries")
-                tracing.add_span("retry", delay, op=op, shard=index,
-                                 attempt=attempt,
-                                 error=type(exc).__name__)
+                delay = self._retry_delay(policy, op, index, attempt,
+                                          deadline, exc)
                 time.sleep(delay)
                 attempt += 1
                 started = time.perf_counter()
@@ -786,146 +675,56 @@ class QueryEngine:
                 # mutations (corruption) were one-shot on the copy.
                 future = pool.submit_job(fn, args, deadline=wall)
 
-    def _job_result_hedged(self, pool, future, fn, args, op, started,
-                           deadline, wall, policy):
-        """Await one job, hedging a straggler: past the p95-based
-        threshold a duplicate is submitted, the first to finish wins,
-        and the loser is cancelled (cooperatively, in the worker, via
-        the shipped deadline)."""
-        budget = self._remaining(deadline)
-        threshold = self.resilience.hedge_threshold(op)
-        if threshold is None:
-            return pool.job_result(future, budget)
-        elapsed = time.perf_counter() - started
-        first_wait = max(threshold - elapsed, 0.0)
-        if budget is not None:
-            first_wait = min(first_wait, budget)
-        try:
-            return pool.job_result(future, first_wait)
-        except QueryTimeoutError:
-            if future.done():
-                # The *worker* reported a deadline expiry; that is
-                # the job's result, not a straggler signal.
-                raise
-            if deadline is not None \
-                    and time.perf_counter() >= deadline:
-                raise
-        try:
-            hedge = pool.submit_job(fn, args, deadline=wall)
-        except (ProcessBackendError, JobPayloadError):
-            # No capacity for a duplicate; keep waiting on the
-            # primary within the remaining budget.
-            return pool.job_result(future, self._remaining(deadline))
-        self.stats.count("hedges")
-        hedge_started = time.perf_counter()
-        done, _ = _futures_wait({future, hedge},
-                                timeout=self._remaining(deadline),
-                                return_when=FIRST_COMPLETED)
-        if not done:
-            hedge.cancel()
-            future.cancel()
-            raise QueryTimeoutError(
-                "hedged job pair missed the deadline")
-        winner = future if future in done else hedge
-        loser = hedge if winner is future else future
-        loser.cancel()
-        won = winner is hedge
-        self.stats.count("hedges_won" if won else "hedges_lost")
-        tracing.add_span("hedge",
-                         time.perf_counter() - hedge_started, op=op,
-                         won=won)
-        return pool.job_result(winner, self._remaining(deadline))
-
-    # -- the thread / inline substrates ---------------------------------
-    def _map_jobs_fallback(self, jobs, faults, op, deadline, level):
-        """Run fan-out jobs in-process: through the work-stealing
-        thread fan-out normally, serially on the coordinating thread
-        when the thread breaker is open (the ladder's floor)."""
-        if len(jobs) == 1 or level != "thread":
-            # One job (the queue round-trip buys nothing) or inline
-            # degradation: run on the calling thread, keep the stats.
-            results = []
-            for i, (fn, args) in enumerate(jobs):
-                call = self._resilient_call(fn, args, op, i, deadline,
-                                            substrate=level,
-                                            actions=faults[i])
-                start = time.perf_counter()
-                with tracing.span("worker_execute", shard=i,
-                                  backend="inline"):
-                    results.append(call())
-                self.stats.observe(op, time.perf_counter() - start)
-            return results
-        fns = [self._resilient_call(fn, args, op, i, deadline,
-                                    substrate="thread",
-                                    actions=faults[i])
-               for i, (fn, args) in enumerate(jobs)]
-        return self.map_shards(fns, op=op, resilient=False)
-
-    #: sentinel: "no pre-drawn actions -- draw at wrap time"
-    _DRAW = object()
-
-    def _resilient_call(self, fn, args, op, index, deadline,
-                        substrate="thread", actions=_DRAW):
-        """A zero-arg callable running ``fn`` under the in-process
-        fault/retry policy: drawn faults fire as they would in a
-        worker (corruption and pool-break are serialisation/pool
+    # -- the calling thread -----------------------------------------------
+    def _run_serial(self, fn, args, op, index, deadline, actions):
+        """Run ``fn(*args)`` on the calling thread under the job
+        policy: the dispatch's pre-drawn faults fire as they would in
+        a worker (corruption and pool-break are serialisation/pool
         faults and do not apply in-process), the caller's deadline is
         visible through the cooperative check, and transient failures
-        retry with backoff within the deadline.  ``args=None`` wraps
-        an already-bound callable; ``actions`` carries the dispatch's
-        pre-drawn faults (the default draws fresh -- the
-        :meth:`map_shards` direct path, which is its own dispatch)."""
+        retry with backoff within the deadline."""
         policy = self.resilience.policy(op)
-        if actions is QueryEngine._DRAW:
-            actions = self.faults.draw(op) \
-                if self.faults is not None else None
-        shipped = fault_injection.worker_actions(actions)
+        fault = fault_injection.worker_actions(actions)
         wall = self._wall_deadline(deadline)
-        breaker = substrate == "thread"
+        attempt = 1
+        while True:
+            set_job_deadline(wall)
+            try:
+                fault_injection.apply_worker_actions(fault)
+                value = fn(*args)
+                if fault_injection.wants_duplicate(fault):
+                    value = fn(*args)
+                return value
+            except RETRYABLE as exc:
+                self._quarantine_if_corrupt(exc)
+                delay = self._retry_delay(policy, op, index, attempt,
+                                          deadline, exc)
+                time.sleep(delay)
+                attempt += 1
+                fault = None  # injected faults are one-shot
+            finally:
+                set_job_deadline(None)
 
-        def call():
-            attempt = 1
-            fault = shipped
-            while True:
-                set_job_deadline(wall)
-                try:
-                    fault_injection.apply_worker_actions(fault)
-                    value = fn(*args) if args is not None else fn()
-                    if fault_injection.wants_duplicate(fault):
-                        value = fn(*args) if args is not None else fn()
-                except RETRYABLE as exc:
-                    self._quarantine_if_corrupt(exc)
-                    if breaker:
-                        self.resilience.record("thread", False)
-                    delay = policy.backoff(
-                        attempt, token="{}:{}".format(op, index))
-                    if attempt >= policy.attempts or (
-                            deadline is not None
-                            and time.perf_counter() + delay
-                            >= deadline):
-                        self.stats.count("retry_exhausted")
-                        raise
-                    self.stats.count("retries")
-                    tracing.add_span("retry", delay, op=op,
-                                     shard=index, attempt=attempt,
-                                     error=type(exc).__name__)
-                    time.sleep(delay)
-                    attempt += 1
-                    fault = None  # injected faults are one-shot
-                else:
-                    if breaker:
-                        self.resilience.record("thread", True)
-                    return value
-                finally:
-                    set_job_deadline(None)
+    def _retry_delay(self, policy, op, index, attempt, deadline, exc):
+        """The backoff before retrying a failed job, counted and
+        traced; re-raises ``exc`` (counted as exhausted) when the
+        policy's attempts are spent or the backoff would outlive the
+        deadline.  Called from the ``except`` block handling ``exc``."""
+        delay = policy.backoff(attempt, token="{}:{}".format(op, index))
+        if attempt >= policy.attempts or (
+                deadline is not None
+                and time.perf_counter() + delay >= deadline):
+            self.stats.count("retry_exhausted")
+            raise exc
+        self.stats.count("retries")
+        tracing.add_span("retry", delay, op=op, shard=index,
+                         attempt=attempt, error=type(exc).__name__)
+        return delay
 
-        return call
-
-    # -- shared fan-out plumbing ----------------------------------------
-    def _fanout_deadline(self):
+    def _job_deadline(self):
         """The executing job's deadline (perf_counter based), falling
         back to ``default_timeout`` from now -- the budget every
-        retry, hedge and shipped worker deadline lives within."""
+        retry and shipped worker deadline lives within."""
         deadline = getattr(_job_context, "deadline", None)
         if deadline is not None:
             return deadline
@@ -975,15 +774,14 @@ class QueryEngine:
                         payload_plane.lose_segment(value)
         return args
 
-    def _run_job_inline(self, fn, args, op, index, deadline):
-        """One job on the coordinating thread (the unpicklable-job
-        escape hatch): same timing/span contract as a worker."""
+    def _run_job_inline(self, fn, args, op, index, deadline, actions):
+        """One unshippable job on the calling thread: same timing/span
+        contract as a worker."""
         self.stats.count("job_inline_fallbacks")
-        call = self._resilient_call(fn, args, op, index, deadline,
-                                    substrate="inline")
         start = time.perf_counter()
         with tracing.collect_worker_spans() as log:
-            value = call()
+            value = self._run_serial(fn, args, op, index, deadline,
+                                     actions)
         return time.perf_counter() - start, log.wire(), value
 
     def _graph_version(self, name):
@@ -1013,33 +811,10 @@ class QueryEngine:
         key = exc.key
         if key is None:
             return
-        payload_plane.note_attach_failure(key)
         if self.resilience.quarantine(key):
             discard = getattr(self.indexes, "discard_payload", None)
             if discard is not None:
                 discard(key)
-
-    def _build_in_process(self, graph, core=None):
-        """Index-build executor wired into the
-        :class:`~repro.engine.index_manager.IndexManager` when the
-        process backend is active: freeze the graph, build core
-        numbers + CL-tree in a worker process, rebind the tree to the
-        live graph object.  Raises on any pool failure; the manager
-        falls back to the in-process build."""
-        from repro.graph.frozen import FrozenGraph
-
-        start = time.perf_counter()
-        frozen = FrozenGraph.from_graph(graph)
-        freeze_seconds = time.perf_counter() - start
-        self.stats.observe("snapshot_build", freeze_seconds)
-        core, cltree, child_seconds = self._process.run_build(
-            frozen, core)
-        cltree.graph = graph
-        total = time.perf_counter() - start
-        self.stats.observe(
-            "index_build_ipc",
-            max(total - freeze_seconds - child_seconds, 0.0))
-        return core, cltree
 
     # ------------------------------------------------------------------
     # whole-query worker execution
@@ -1058,7 +833,7 @@ class QueryEngine:
         return bool(ready is not None and ready(name))
 
     def _with_fresh_payload_retry(self, run):
-        """Run a payload-backed fan-out, retrying once from a freshly
+        """Run a payload-backed dispatch, retrying once from a freshly
         frozen payload when corruption escaped the per-job retries.
         The quarantine hook already discarded the cached copy, so the
         inner ``run`` re-freezes from the live graph -- the one
@@ -1094,7 +869,7 @@ class QueryEngine:
 
         def run():
             payload, arg = self._full_payload_job_arg(name)
-            return self.map_shard_jobs(
+            return self.run_jobs(
                 [(shard_full_query_job,
                   (payload.key, arg, algorithm, q, k, keywords))],
                 op="full_query")
@@ -1106,10 +881,11 @@ class QueryEngine:
     def detect(self, name, algorithm, params=None, per_component=False):
         """Run one whole-graph CD detection on the frozen payload.
 
-        With ``per_component=True`` the detection fans out as one
-        worker job per connected component (each carves its induced
-        frozen subgraph from the cached payload); results are the
-        concatenation in component order.  Connected graphs degrade
+        With ``per_component=True`` the detection runs as one job per
+        connected component (each carves its induced frozen subgraph
+        from the cached payload; the jobs share the pool under the
+        process backend and run one after another otherwise); results
+        are the concatenation in component order.  Connected graphs degrade
         to the single whole-graph job, whose result is byte-identical
         to inline detection (the frozen equivalence the protocol
         suite proves).  Per-component execution is a *different,
@@ -1139,7 +915,7 @@ class QueryEngine:
                      (payload.key, arg, algorithm, component,
                       wire_params))
                     for component in components]
-            return self.map_shard_jobs(jobs, op="detect")
+            return self.run_jobs(jobs, op="detect")
         wires = self._with_fresh_payload_retry(run)
         communities = []
         for wire_list in wires:
@@ -1152,18 +928,15 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def _on_index_event(self, name, version, affected,
                         truss_affected=None):
-        """Index version bump: evict stale results and memo entries.
+        """Index version bump: evict stale results.
 
         ``affected`` scopes eviction for the minimum-degree families,
         ``truss_affected`` (reported by an attached truss maintainer)
         for the triangle families; either being ``None`` makes its
-        families' eviction conservative.  Memo entries keyed at an
-        older version go (all of them when ``version`` is ``None``:
-        the graph was unregistered).
+        families' eviction conservative.
         """
         self.cache.invalidate(name, affected=affected,
                               truss_affected=truss_affected)
-        self.memo.invalidate(name, version=version)
 
     def _run_job(self, job):
         """Claim and execute one admitted job (called from the
@@ -1171,19 +944,11 @@ class QueryEngine:
         future = job.future
         trace = job.trace
         if not future.set_running():
-            # Either cancelled by the caller, or a fan-out
-            # coordinator claimed (stole) the job and ran it
-            # inline before this worker got to it.
-            if future.cancelled():
-                self.stats.count("cancelled")
-                self.tracer.finish(trace, "cancelled")
-            else:
-                self.stats.count("stolen")
+            # Cancelled by the caller while queued.
+            self.stats.count("cancelled")
+            self.tracer.finish(trace, "cancelled")
             return
         queue_wait = time.perf_counter() - job.submitted_at
-        # Deadline check only after winning the claim: a stolen
-        # job already completed elsewhere and must not be counted
-        # (or marked) as timed out.
         if (job.deadline is not None
                 and time.perf_counter() > job.deadline):
             self.stats.count("timeouts")
@@ -1250,15 +1015,12 @@ class QueryEngine:
                 "runs": self.stats.get("detect_runs"),
                 "jobs": self.stats.get("detect_jobs"),
             },
-            "index_build_fallbacks": getattr(self.indexes,
-                                             "build_fallbacks", 0),
             "workers": self.workers,
             "started": bool(self._threads),
             "queue_depth": self.queue_depth,
             "max_queue": self.max_queue,
             "in_flight": self._in_flight,
             "cache": self.cache.stats(),
-            "memo": self.memo.stats(),
             "truss": self.indexes.truss_stats(),
             "traces": self.tracer.stats(),
             "resilience": self.resilience.snapshot(faults=self.faults),

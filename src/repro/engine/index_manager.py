@@ -190,16 +190,6 @@ class IndexManager:
         # shutdown).
         self._payload_finalizer = weakref.finalize(
             self, _release_orphaned, self._lock, self._full_payloads)
-        # Optional build delegate ``(graph, core=None) -> (core,
-        # cltree)``; the engine's process backend installs one so
-        # CL-tree builds run in worker processes instead of under the
-        # GIL.  Any executor failure
-        # falls back to the in-process build below.
-        self.build_executor = None
-        # How many delegated builds failed and fell back locally --
-        # surfaced through the engine snapshot so a permanently broken
-        # process-backend build path cannot degrade silently.
-        self.build_fallbacks = 0
         # Size of the most recent truss cascade across *all* maintained
         # graphs (per-maintainer counters cannot say which update was
         # last when several graphs are maintained).
@@ -367,6 +357,9 @@ class IndexManager:
         # below keeps the cache coherent, and a racing bump simply
         # leaves the payload unpublished -- the in-flight query may
         # still use its consistent snapshot of the prior state.
+        # Concurrent cold callers may each freeze; the first to
+        # publish wins and the others adopt its payload, so a payload
+        # a query already holds is never released under it.
         with tracing.span("payload_freeze", graph=name):
             frozen = FrozenGraph.from_graph(graph)
         payload = GraphPayload(
@@ -379,6 +372,8 @@ class IndexManager:
             if fresh is not None and fresh.graph is graph \
                     and fresh.version == version:
                 replaced = self._full_payloads.get(name)
+                if replaced is not None and replaced.version == version:
+                    return replaced, False
                 self._full_payloads[name] = payload
         if replaced is not None:
             replaced.release()
@@ -529,25 +524,9 @@ class IndexManager:
             entry = self._entry(name)
             graph = entry.graph
             version = entry.version
-            cached_core = entry.core
         start = time.perf_counter()
-        core = cltree = None
-        executor = self.build_executor
-        if executor is not None:
-            try:
-                # Delegated (process-backend) build: core numbers are
-                # computed in the worker too when not already cached,
-                # so a cold build pays nothing GIL-bound here.
-                core, cltree = executor(graph, core=cached_core)
-            except Exception:
-                # Deliberately broad: whatever broke the delegate
-                # (pool death, pickling, timeout), the build must
-                # still succeed locally -- but visibly.
-                self.build_fallbacks += 1
-                core = cltree = None
-        if cltree is None:
-            core = self.core(name)
-            cltree = build_cltree(graph, core=core)
+        core = self.core(name)
+        cltree = build_cltree(graph, core=core)
         build_seconds = time.perf_counter() - start
         tracing.add_span("index_build", build_seconds, graph=name)
         # Compatibility: callers historically read build time off the

@@ -11,25 +11,24 @@ carry a tiny picklable *ref*, and workers attach the mapping and build
 a :class:`FrozenGraph` over ``memoryview`` slices of it -- zero-copy,
 amortised across every dispatch and every worker.
 
-Transport ladder (each rung degrades to the next automatically):
+Two transports (shm degrades to pickle automatically):
 
 1. **shm** -- ``multiprocessing.shared_memory`` segments.  One
    refcounted :class:`Segment` per ``(graph, version)`` payload,
    owned by the parent; unlinked on version bump, eviction, engine
    shutdown, and (backstop) at interpreter exit, so no
-   ``resource_tracker`` leak warnings survive a clean run.
-2. **registry** -- a fork-inherited module-level snapshot registry.
-   Workers forked *after* a payload was registered see it for free via
-   copy-on-write; a registry miss (worker forked too early) disables
-   the rung for the process and falls through.
-3. **pickle** -- the original pickled-blob path, always correct.
+   ``resource_tracker`` leak warnings survive a clean run.  A worker
+   keeps one mapping per cached payload and drops it when a newer
+   version of the graph replaces that payload (:func:`detach`).
+2. **pickle** -- the pickled-blob path, always correct; used when a
+   segment cannot be created.
 
 A failed attach in a worker raises
 :class:`~repro.util.errors.PayloadCorruptionError` carrying the
-payload key, which plugs into the existing resilience ladder:
+payload key, which plugs into the engine's recovery path:
 quarantine -> ``discard_payload`` (which unlinks the segment) -> one
-retry against a freshly published payload, with the full-query path
-falling back to pickled transport on that retry.  The chaos plane's
+retry against a freshly published payload -> the inline run on the
+live graph if that one is lost too.  The chaos plane's
 ``segment_loss`` fault exercises exactly this recovery.
 
 Persistence rides on the same byte layout: :class:`GraphStore` writes
@@ -52,7 +51,6 @@ import shutil
 import struct
 import threading
 from array import array
-from collections import OrderedDict
 
 from repro.util.errors import CExplorerError, PayloadCorruptionError
 
@@ -64,7 +62,7 @@ except ImportError:  # pragma: no cover - always present on CPython 3.8+
     _resource_tracker = None
 
 ENV_TRANSPORT = "REPRO_PAYLOAD_TRANSPORT"
-TRANSPORTS = ("shm", "registry", "pickle")
+TRANSPORTS = ("shm", "pickle")
 
 # Packed payload layout: magic, then byte lengths of the four parts
 # (raw int32 indptr, raw int32 indices, a reserved slot holding a
@@ -78,13 +76,8 @@ _HEADER = struct.Struct("<4sQQQQ")
 
 _lock = threading.RLock()
 _segments = {}            # name -> Segment (parent-side owners)
-_attached = {}            # name -> SharedMemory (worker-side keep-alive)
-_decoded = OrderedDict()  # name -> decoded payload (attach memo)
-_DECODED_CAP = 64         # segments outliving their decode memo entry
+_attached = {}            # name -> SharedMemory (worker-side mappings)
 _mmaps = []               # (mmap, file) keep-alive for store loads
-_fork_registry = {}       # payload key -> decoded payload object
-_registry_owned = set()   # keys this process published to the registry
-_registry_ok = True       # poisoned on the first fork-miss
 _shm_ok = True            # poisoned when segment creation fails
 _seq = 0
 _attach_failures = 0
@@ -96,9 +89,9 @@ def _transport():
 
 
 def configure(transport):
-    """Force the payload transport (``shm``/``registry``/``pickle``).
+    """Force the payload transport (``shm``/``pickle``).
 
-    Used by tests and benchmarks to compare rungs of the ladder; the
+    Used by tests and benchmarks to compare the transports; the
     environment variable :data:`ENV_TRANSPORT` does the same for a
     whole process.  Returns the previous mode.
     """
@@ -195,23 +188,10 @@ class ShmPayloadRef:
             self.segment, self.key)
 
 
-class RegistryPayloadRef:
-    """Locator for a payload in the fork-inherited registry."""
-
-    __slots__ = ("key", "corrupted")
-
-    def __init__(self, key, corrupted=False):
-        self.key = key
-        self.corrupted = corrupted
-
-    def __repr__(self):
-        return "RegistryPayloadRef(key={!r})".format(self.key)
-
-
 def is_ref(obj):
     """Whether ``obj`` is a payload-plane locator (vs a pickled blob
     or an in-process payload object)."""
-    return isinstance(obj, (ShmPayloadRef, RegistryPayloadRef))
+    return isinstance(obj, ShmPayloadRef)
 
 
 def corrupt_ref(ref):
@@ -219,10 +199,7 @@ def corrupt_ref(ref):
     ``corrupt`` fault on zero-copy transport): attaching it raises
     :class:`PayloadCorruptionError` with the *real* key, so quarantine
     targets the right payload."""
-    if isinstance(ref, ShmPayloadRef):
-        return ShmPayloadRef(ref.segment, ref.key, ref.nbytes,
-                             corrupted=True)
-    return RegistryPayloadRef(ref.key, corrupted=True)
+    return ShmPayloadRef(ref.segment, ref.key, ref.nbytes, corrupted=True)
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +270,6 @@ class Segment:
         with _lock:
             shm, self._shm = self._shm, None
             _segments.pop(self.name, None)
-            _decoded.pop(self.name, None)
         if shm is None or self._pid != os.getpid():
             return
         try:
@@ -306,42 +282,6 @@ class Segment:
             pass
 
 
-class _RegistrySlot:
-    """Segment-shaped owner for the fork-registry rung."""
-
-    __slots__ = ("key", "nbytes", "_refs")
-
-    def __init__(self, key, nbytes):
-        self.key = key
-        self.nbytes = nbytes
-        self._refs = 1
-
-    @property
-    def name(self):
-        return None
-
-    @property
-    def ref(self):
-        return RegistryPayloadRef(self.key)
-
-    def acquire(self):
-        with _lock:
-            self._refs += 1
-        return self
-
-    def release(self):
-        with _lock:
-            self._refs -= 1
-            dead = self._refs <= 0
-        if dead:
-            self.destroy()
-
-    def destroy(self):
-        with _lock:
-            _fork_registry.pop(self.key, None)
-            _registry_owned.discard(self.key)
-
-
 def _next_segment_name():
     global _seq
     with _lock:
@@ -350,42 +290,34 @@ def _next_segment_name():
 
 
 def publish(key, frozen):
-    """Place one frozen payload on the best available zero-copy rung.
+    """Publish one frozen payload into a shared-memory segment.
 
-    Returns a :class:`Segment`/:class:`_RegistrySlot` owner (holding
-    one reference) or ``None`` when the plane is disabled or every
-    rung is unavailable -- the caller then ships the pickled blob.
+    Returns the :class:`Segment` owner (holding one reference), or
+    ``None`` when the pickle transport is configured or no segment can
+    be created -- the caller then ships the pickled blob.
     """
     global _shm_ok
-    mode = _transport()
-    if mode == "pickle":
+    if _transport() == "pickle" or not _shm_ok \
+            or _shared_memory is None:
         return None
-    if mode == "shm" and _shm_ok and _shared_memory is not None:
-        chunks = pack_payload(frozen)
-        nbytes = sum(len(c) for c in chunks)
-        try:
-            shm = _QuietSharedMemory(
-                name=_next_segment_name(), create=True,
-                size=max(nbytes, 1))
-            off = 0
-            for chunk in chunks:
-                shm.buf[off:off + len(chunk)] = chunk
-                off += len(chunk)
-        except Exception:
-            # /dev/shm missing, full, or unwritable: poison the rung
-            # for this process and fall through to the registry.
-            _shm_ok = False
-        else:
-            segment = Segment(shm, key, nbytes)
-            with _lock:
-                _segments[segment.name] = segment
-            return segment
-    if _registry_ok:
-        with _lock:
-            _fork_registry[key] = frozen
-            _registry_owned.add(key)
-        return _RegistrySlot(key, 0)
-    return None
+    chunks = pack_payload(frozen)
+    nbytes = sum(len(c) for c in chunks)
+    try:
+        shm = _QuietSharedMemory(
+            name=_next_segment_name(), create=True, size=max(nbytes, 1))
+        off = 0
+        for chunk in chunks:
+            shm.buf[off:off + len(chunk)] = chunk
+            off += len(chunk)
+    except Exception:
+        # /dev/shm missing, full, or unwritable: poison shm for this
+        # process; payloads ship pickled from now on.
+        _shm_ok = False
+        return None
+    segment = Segment(shm, key, nbytes)
+    with _lock:
+        _segments[segment.name] = segment
+    return segment
 
 
 # ----------------------------------------------------------------------
@@ -420,100 +352,68 @@ def _attach_shm(name):
 def attach(ref):
     """Resolve a payload ref to the payload object, zero-copy.
 
-    Any failure -- corrupted ref, unlinked segment, registry miss --
-    raises :class:`PayloadCorruptionError` carrying the payload key,
-    which the engine's quarantine/retry ladder turns into a fresh
-    payload on the next attempt.
+    Any failure -- corrupted ref, unlinked segment -- raises
+    :class:`PayloadCorruptionError` carrying the payload key, which
+    the engine's quarantine/retry ladder turns into a fresh payload on
+    the next attempt.  A worker keeps the mapping it opens here until
+    :func:`detach` drops it: the decoded snapshot's CSR arrays are
+    views into it.
     """
-    global _attach_failures, _registry_ok
-    if getattr(ref, "corrupted", False):
+    global _attach_failures
+    if ref.corrupted:
         with _lock:
             _attach_failures += 1
         raise PayloadCorruptionError(
             "payload ref corrupted in flight", key=ref.key)
-    if isinstance(ref, RegistryPayloadRef):
-        with _lock:
-            payload = _fork_registry.get(ref.key)
-        if payload is None:
-            with _lock:
-                _attach_failures += 1
-                _registry_ok = False
-            raise PayloadCorruptionError(
-                "payload missing from fork registry (worker forked "
-                "before publish)", key=ref.key)
-        return payload
     with _lock:
-        cached = _decoded.get(ref.segment)
-        if cached is not None:
-            _decoded.move_to_end(ref.segment)
-            return cached
         owner = _segments.get(ref.segment)
-        shm = _attached.get(ref.segment)
     if owner is not None and owner._shm is not None:
         # In-process resolution (inline fallback, thread backend): the
         # segment is our own -- decode straight from the live mapping.
-        return _memo_decoded(ref.segment, unpack_payload(
-            owner._shm.buf, key=ref.key))
-    if shm is None:
-        try:
-            shm = _attach_shm(ref.segment)
-        except Exception as exc:
-            with _lock:
-                _attach_failures += 1
-            raise PayloadCorruptionError(
-                "shared-memory attach failed: {}".format(exc),
-                key=ref.key)
+        return unpack_payload(owner._shm.buf, key=ref.key)
+    try:
+        shm = _attach_shm(ref.segment)
+    except Exception as exc:
         with _lock:
-            # Keep the mapping alive for the worker's lifetime: the
-            # decoded FrozenGraph holds memoryviews into it, and a
-            # parent-side unlink leaves attached mappings valid.
-            _attached.setdefault(ref.segment, shm)
-    return _memo_decoded(ref.segment, unpack_payload(shm.buf,
-                                                     key=ref.key))
-
-
-def _memo_decoded(name, payload):
-    """Memoize the decoded payload per (never-reused) segment name:
-    repeat jobs against the same immutable snapshot skip the sidecar
-    decode entirely -- the amortisation that makes attach cost
-    per-segment, not per-dispatch."""
+            _attach_failures += 1
+        raise PayloadCorruptionError(
+            "shared-memory attach failed: {}".format(exc),
+            key=ref.key)
     with _lock:
-        _decoded[name] = payload
-        _decoded.move_to_end(name)
-        while len(_decoded) > _DECODED_CAP:
-            _decoded.popitem(last=False)
-    return payload
+        _attached[ref.segment] = shm
+    try:
+        return unpack_payload(shm.buf, key=ref.key)
+    except PayloadCorruptionError:
+        detach(ref)
+        raise
+
+
+def detach(ref):
+    """Drop the worker-side mapping :func:`attach` opened for ``ref``
+    (a no-op for refs resolved through the parent's own segment).
+    Views a decoded snapshot still holds keep the memory mapped until
+    they die; the segment name is the parent's to unlink."""
+    with _lock:
+        shm = _attached.pop(ref.segment, None)
+    if shm is not None:
+        shm.close()
 
 
 def lose_segment(ref):
     """Destroy the backing of ``ref`` in place (the ``segment_loss``
     chaos fault: a torn attachment).  The ref itself still travels, so
     the worker's attach fails exactly like a real loss."""
-    if isinstance(ref, ShmPayloadRef):
-        with _lock:
-            owner = _segments.get(ref.segment)
-        if owner is not None:
-            owner.destroy()
-        elif _shared_memory is not None:
-            try:
-                shm = _attach_shm(ref.segment)
-                shm.close()
-                shm.unlink()
-            except Exception:
-                pass
-    else:
-        with _lock:
-            _fork_registry.pop(ref.key, None)
-
-
-def note_attach_failure(key):
-    """Parent-side hook: a worker reported a failed attach for
-    ``key``.  If the key rode the fork registry, the rung is poisoned
-    (later forks will not inherit later payloads either)."""
-    global _registry_ok
     with _lock:
-        if key in _registry_owned:
-            _registry_ok = False
+        owner = _segments.get(ref.segment)
+    if owner is not None:
+        owner.destroy()
+    elif _shared_memory is not None:
+        try:
+            shm = _attach_shm(ref.segment)
+            shm.close()
+            shm.unlink()
+        except Exception:
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -538,14 +438,12 @@ def live_bytes():
 def plane_stats():
     """The payload-plane block of the engine metrics document."""
     with _lock:
-        registry_entries = len(_fork_registry)
         failures = _attach_failures
     return {
         "transport": _transport(),
         "shm_available": bool(_shared_memory is not None and _shm_ok),
         "shm_segments": live_segments(),
         "payload_bytes": live_bytes(),
-        "registry_entries": registry_entries,
         "attach_failures": failures,
     }
 
@@ -556,7 +454,7 @@ def _sweep():
     so no run -- even one that skipped engine shutdown -- leaves
     ``resource_tracker`` warnings or orphaned ``/dev/shm`` files.
     Guarded per-segment by owner pid: forked workers inherit the
-    registry but must never unlink the parent's segments."""
+    segment table but must never unlink the parent's segments."""
     pid = os.getpid()
     with _lock:
         owned = [seg for seg in _segments.values() if seg._pid == pid]

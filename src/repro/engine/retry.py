@@ -1,7 +1,8 @@
-"""Retry, hedging and circuit-breaking policy: how the engine reacts
-to failure instead of propagating it.
+"""Retry and circuit-breaking policy: how the engine reacts to
+failure instead of propagating it.
 
-Three mechanisms, composed by the executor's fan-out paths:
+Two mechanisms, composed by :meth:`~repro.engine.executor.QueryEngine.
+run_jobs`:
 
 * :class:`RetryPolicy` -- per-job-class retry budgets.  Every engine
   job class (``full_query``, ``detect``) is a
@@ -11,24 +12,16 @@ Three mechanisms, composed by the executor's fan-out paths:
   the remaining-deadline budget always wins -- a retry whose backoff
   would outlive the caller's deadline is not attempted.
 
-* **Hedging** -- a straggler job past the observed p95 of its class
-  (times :data:`HEDGE_ALPHA`) gets one duplicate submission; the first
-  result wins and the loser is cancelled (best-effort parent-side,
-  cooperatively in the worker via the shipped deadline).  Hedging is
-  the standard tail-latency answer when a worker stalls rather than
-  dies; idempotent jobs make it free of semantic risk.
-
-* :class:`CircuitBreaker` / :class:`ResiliencePlane` -- per-substrate
-  breakers implementing the degradation ladder
-  ``process -> thread -> inline``.  Consecutive infrastructure
-  failures (pool death, submission failure) open the breaker; while
-  open, fan-outs skip the substrate entirely (no doomed submissions,
-  no fallback latency); after a cooldown one *probe* fan-out is let
-  through (half-open), and its success promotes the substrate back.
-  Payload corruption deliberately does **not** count against the
-  breaker -- a poisoned ``(graph, version)`` payload is quarantined
-  individually (see ``QueryEngine._quarantine``) so one bad graph
-  cannot condemn an otherwise healthy backend.
+* :class:`CircuitBreaker` / :class:`ResiliencePlane` -- the process
+  pool's breaker.  Consecutive infrastructure failures (pool death,
+  submission failure) open it; while open, jobs skip the pool and run
+  serially on the calling thread (no doomed submissions, no fallback
+  latency); after a cooldown one *probe* dispatch is let through
+  (half-open), and its success promotes the pool back.  Payload
+  corruption deliberately does **not** count against the breaker -- a
+  poisoned ``(graph, version)`` payload is quarantined individually
+  (see ``QueryEngine._quarantine_if_corrupt``) so one bad graph cannot
+  condemn an otherwise healthy pool.
 """
 
 import threading
@@ -48,32 +41,16 @@ from repro.util.errors import (
 RETRYABLE = (WorkerKilledError, FaultInjectedError,
              PayloadCorruptionError)
 
-#: hedge a job once it has run longer than p95 * alpha of its class.
-HEDGE_ALPHA = 4.0
-
-#: observed samples of a job class before its p95 is trusted for
-#: hedging decisions (a cold histogram hedges everything or nothing).
-HEDGE_MIN_SAMPLES = 20
-
-#: never hedge before this many seconds, whatever the p95 says --
-#: duplicating microsecond jobs buys nothing and doubles pool load.
-HEDGE_MIN_SECONDS = 0.05
-
-#: the degradation ladder, most- to least-parallel.
-SUBSTRATES = ("process", "thread", "inline")
-
 
 class RetryPolicy:
     """Retry budget and backoff schedule for one job class."""
 
-    __slots__ = ("attempts", "base_delay", "max_delay", "hedge")
+    __slots__ = ("attempts", "base_delay", "max_delay")
 
-    def __init__(self, attempts=3, base_delay=0.005, max_delay=0.1,
-                 hedge=True):
+    def __init__(self, attempts=3, base_delay=0.005, max_delay=0.1):
         self.attempts = int(attempts)
         self.base_delay = float(base_delay)
         self.max_delay = float(max_delay)
-        self.hedge = bool(hedge)
 
     def backoff(self, attempt, token=""):
         """Sleep before retry number ``attempt`` (1-based): capped
@@ -90,15 +67,15 @@ class RetryPolicy:
 
 #: per-job-class policies; job classes not named here use DEFAULT.
 POLICIES = {
-    "full_query": RetryPolicy(attempts=3, hedge=True),
-    "detect": RetryPolicy(attempts=2, hedge=False),
+    "full_query": RetryPolicy(attempts=3),
+    "detect": RetryPolicy(attempts=2),
 }
 
-DEFAULT_POLICY = RetryPolicy(attempts=2, hedge=False)
+DEFAULT_POLICY = RetryPolicy(attempts=2)
 
 
 class CircuitBreaker:
-    """Closed / open / half-open breaker for one execution substrate.
+    """Closed / open / half-open breaker for the process pool.
 
     Opens after ``failure_threshold`` consecutive failures *or* when
     the error rate over the last ``window`` outcomes exceeds
@@ -134,7 +111,7 @@ class CircuitBreaker:
             return self._state
 
     def allow(self):
-        """Whether a fan-out may use this substrate right now:
+        """Whether a dispatch may use the pool right now:
         ``True`` (closed), ``"probe"`` (half-open, this caller is the
         probe), or ``False`` (open / probe already in flight)."""
         now = time.monotonic()
@@ -219,27 +196,20 @@ class CircuitBreaker:
 
 class ResiliencePlane:
     """The engine's failure-handling state, gathered in one object:
-    substrate breakers, the payload quarantine set, hedging
-    thresholds, and the resilience counters the metrics plane
-    exports.  One per :class:`~repro.engine.executor.QueryEngine`.
+    the process breaker, the payload quarantine set, and the
+    resilience counters the metrics plane exports.  One per
+    :class:`~repro.engine.executor.QueryEngine`.
     """
 
-    COUNTER_KEYS = ("retries", "retry_exhausted", "hedges",
-                    "hedges_won", "hedges_lost", "quarantines",
+    COUNTER_KEYS = ("retries", "retry_exhausted", "quarantines",
                     "breaker_rejections", "payload_retries",
                     "faults_injected")
 
-    def __init__(self, stats, breaker_cooldown=5.0,
-                 hedge_alpha=HEDGE_ALPHA,
-                 hedge_min_samples=HEDGE_MIN_SAMPLES):
+    def __init__(self, stats, breaker_cooldown=5.0):
         self.stats = stats
-        self.hedge_alpha = float(hedge_alpha)
-        self.hedge_min_samples = int(hedge_min_samples)
         self.breakers = {
             "process": CircuitBreaker("process",
                                       cooldown=breaker_cooldown),
-            "thread": CircuitBreaker("thread",
-                                     cooldown=breaker_cooldown),
         }
         self._lock = threading.Lock()
         self._quarantined = set()
@@ -251,51 +221,21 @@ class ResiliencePlane:
     def policy(op):
         return POLICIES.get(op, DEFAULT_POLICY)
 
-    def substrate(self, preferred):
-        """Walk the degradation ladder from ``preferred`` down to the
-        first substrate whose breaker admits work.  Returns
-        ``(substrate, probe)`` -- ``probe`` flags a half-open trial
-        whose outcome the caller must report.  ``inline`` has no
-        breaker: serial execution on the coordinating thread is the
-        floor that always works."""
-        start = SUBSTRATES.index(preferred)
-        for level in SUBSTRATES[start:]:
-            breaker = self.breakers.get(level)
-            if breaker is None:
-                return level, False
-            verdict = breaker.allow()
-            if verdict:
-                return level, verdict == "probe"
-            self.stats.count("breaker_rejections")
-        return "inline", False
+    def admit_process(self):
+        """Whether a dispatch may use the process pool now (closed
+        breaker, or this caller is the half-open probe); a refusal is
+        counted and the jobs run serially on the calling thread."""
+        if self.breakers["process"].allow():
+            return True
+        self.stats.count("breaker_rejections")
+        return False
 
-    def record(self, level, ok):
-        """Report a substrate outcome to its breaker (no-op for
-        ``inline``)."""
-        breaker = self.breakers.get(level)
-        if breaker is None:
-            return
+    def record_process(self, ok):
+        """Report one process dispatch's outcome to the breaker."""
         if ok:
-            breaker.record_success()
+            self.breakers["process"].record_success()
         else:
-            breaker.record_failure()
-
-    # ------------------------------------------------------------------
-    # hedging
-    # ------------------------------------------------------------------
-    def hedge_threshold(self, op):
-        """Seconds after which a running ``op`` job deserves a hedged
-        duplicate, or ``None`` while the latency history is too cold
-        to call anything a straggler."""
-        if not self.policy(op).hedge:
-            return None
-        probe = getattr(self.stats, "latency_probe", None)
-        if probe is None:
-            return None
-        count, p95 = probe(op)
-        if count < self.hedge_min_samples or p95 <= 0.0:
-            return None
-        return max(p95 * self.hedge_alpha, HEDGE_MIN_SECONDS)
+            self.breakers["process"].record_failure()
 
     # ------------------------------------------------------------------
     # quarantine

@@ -671,14 +671,14 @@ def render_prometheus(metrics_doc, prefix="repro"):
     resilience = engine.get("resilience") or {}
     name = prefix + "_resilience_events_total"
     exp.header(name, "counter",
-               "Resilience events (retries, hedges, quarantines, ...).")
+               "Resilience events (retries, quarantines, ...).")
     for event, count in sorted(
             (resilience.get("counters") or {}).items()):
         exp.sample(name, {"event": _sanitize(event)}, count)
     breakers = resilience.get("breakers") or {}
     name = prefix + "_breaker_state"
     exp.header(name, "gauge",
-               "Circuit breaker state per substrate "
+               "Circuit breaker state per backend "
                "(0=closed, 1=half_open, 2=open).")
     state_codes = {"closed": 0, "half_open": 1, "open": 2}
     for backend in sorted(breakers):
@@ -686,7 +686,7 @@ def render_prometheus(metrics_doc, prefix="repro"):
                    state_codes.get(breakers[backend].get("state"), 0))
     name = prefix + "_breaker_degraded_seconds_total"
     exp.header(name, "counter",
-               "Seconds each substrate's breaker has spent "
+               "Seconds each backend's breaker has spent "
                "open or half-open.")
     for backend in sorted(breakers):
         exp.sample(name, {"backend": _sanitize(backend)},
@@ -694,7 +694,7 @@ def render_prometheus(metrics_doc, prefix="repro"):
                                                0.0)))
     name = prefix + "_breaker_transitions_total"
     exp.header(name, "counter",
-               "Breaker state transitions per substrate, by kind.")
+               "Breaker state transitions per backend, by kind.")
     for backend in sorted(breakers):
         doc = breakers[backend]
         for kind in ("opens", "probes", "promotions"):

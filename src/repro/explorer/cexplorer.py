@@ -101,8 +101,8 @@ class CExplorer:
         self.store = payload_plane.GraphStore(store_dir) \
             if store_dir else None
         self._persisted = {}
-        # ``backend="process"`` runs whole queries and CL-tree
-        # builds in a multiprocessing pool over frozen CSR snapshots
+        # ``backend="process"`` runs whole queries and detections
+        # in a multiprocessing pool over frozen CSR snapshots
         # (see repro.engine.backends); results are identical to the
         # default thread backend.  ``faults`` installs a seeded
         # fault-injection plan (see repro.engine.faults) for chaos
@@ -273,21 +273,13 @@ class CExplorer:
 
     def keyword_candidates(self, vertex, k, keyword):
         """Vertices carrying ``keyword`` in the query vertex's k-core
-        component -- the CL-tree inverted-index lookup, memoized in the
-        engine so overlapping queries share it."""
-        name = self._require_current()
+        component -- the CL-tree inverted-index lookup."""
         q = self.resolve_vertex(vertex)
-        version = self.indexes.version(name)
-
-        def compute():
-            tree = self.index()
-            root = tree.component_root(q, k)
-            if root is None:
-                return ()
-            return tuple(tree.vertices_with_keyword(root, keyword))
-
-        return self.engine.memo.get_or_compute(
-            name, version, "cltree-keyword", (q, k, keyword), compute)
+        tree = self.index()
+        root = tree.component_root(q, k)
+        if root is None:
+            return ()
+        return tuple(tree.vertices_with_keyword(root, keyword))
 
     def name_index(self):
         """Prefix index over the active graph's names (lazy)."""
@@ -489,8 +481,8 @@ class CExplorer:
         a payload is cached): the worker runs the registered algorithm
         against the CSR snapshot and ships plain results back, byte-
         identical to inline execution.  ``per_component=True``
-        additionally fans the detection out as one worker job per
-        connected component -- a deterministic plan of its own whose
+        instead runs the detection as one job per connected
+        component -- a deterministic plan of its own whose
         output concatenates the per-component results (identical to
         the whole-graph output exactly when the graph is connected).
         Any pipeline failure falls back to inline detection.

@@ -263,7 +263,7 @@ def h_health(server, req):
     """Liveness: answers 200 whenever the process can serve at all.
 
     ``degraded`` flags an open/half-open backend breaker -- the
-    server is still alive (queries run on a fallback substrate), but
+    server is still alive (queries run in-process instead), but
     an operator dashboard should notice.
     """
     resilience = server.engine.resilience

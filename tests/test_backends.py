@@ -5,8 +5,8 @@ The load-bearing invariants:
 * **equivalence** -- the process backend returns results identical to
   the thread backend, keywords or not, property-tested over random
   graphs, and process results track maintenance updates;
-* **index builds** -- eager/background CL-tree builds route through
-  the process pool and install snapshots equivalent to local builds;
+* **index builds** -- eager CL-tree builds run in-process under the
+  process backend too, and queries over them match the thread backend;
 * **fallback** -- a thread-backend engine runs process-style jobs
   inline, and pool failures degrade to in-process execution instead
   of failing the query.
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from repro.engine.backends import (
     BACKENDS,
     ProcessBackend,
-    build_index_job,
     shard_full_query_job,
     validate_backend,
 )
@@ -64,26 +63,10 @@ class TestBackendConfig:
         explorer = CExplorer()
         explorer.engine.configure(backend="process")
         assert explorer.engine.backend == "process"
-        assert explorer.indexes.build_executor is not None
+        assert explorer.engine._process is not None
         explorer.engine.configure(backend="thread")
         assert explorer.engine.backend == "thread"
-        assert explorer.indexes.build_executor is None
-
-
-# ----------------------------------------------------------------------
-# job functions (in-process: they are plain picklable functions)
-# ----------------------------------------------------------------------
-class TestJobFunctions:
-    def test_build_index_job_matches_local_build(self, karate):
-        from repro.core.cltree import build_cltree
-        frozen = freeze(karate)
-        core, tree = build_index_job(frozen)
-        assert core == core_decomposition(karate)
-        oracle = build_cltree(karate)
-        for v in karate.vertices():
-            for k in range(max(core) + 2):
-                assert tree.community_vertices(v, k) == \
-                    oracle.community_vertices(v, k)
+        assert explorer.engine._process is None
 
 
 # ----------------------------------------------------------------------
@@ -156,10 +139,9 @@ class TestProcessBackendEquivalence:
         proc.add_graph("g", dblp_small, build="eager")
         assert proc.indexes.built("g")
         jim = dblp_small.id_of("Jim Gray")
+        assert proc.indexes.stats("g")["builds"] == 1
         assert proc.search("acq", jim, k=3) == \
             plain.search("acq", jim, k=3)
-        ops = proc.engine.snapshot()["latency"]
-        assert "index_build_ipc" in ops
         proc.engine.shutdown()
 
 
@@ -171,7 +153,7 @@ class TestFallbacks:
         explorer = CExplorer()           # thread backend
         explorer.add_graph("k", karate)
         payload, _ = explorer.indexes.full_payload("k")
-        results = explorer.engine.map_shard_jobs(
+        results = explorer.engine.run_jobs(
             [(shard_full_query_job,
               (payload.key, payload.blob, "global", 0, 2))])
         assert results[0] == [c.to_wire() for c in
@@ -200,39 +182,26 @@ class TestFallbacks:
         assert proc.engine.stats.get("process_fallbacks") >= 1
         proc.engine.shutdown()
 
-    def test_broken_build_executor_counts_and_builds_locally(
-            self, karate):
-        explorer = CExplorer()
-        explorer.add_graph("k", karate)
-
-        def exploding_build(graph, core=None):
-            raise RuntimeError("boom")
-
-        explorer.indexes.build_executor = exploding_build
-        snap = explorer.indexes.snapshot("k")     # local fallback
-        assert snap.cltree is not None
-        assert explorer.indexes.build_fallbacks == 1
-        assert explorer.engine.snapshot()["index_build_fallbacks"] == 1
-
     def test_shutdown_detaches_process_pool(self, karate):
         proc = CExplorer(workers=2, backend="process")
         proc.add_graph("k", karate)
         proc.engine.shutdown()
         assert proc.engine._process is None
-        assert proc.indexes.build_executor is None
-        # A post-shutdown build runs locally instead of resurrecting
-        # a pool nothing would ever close.
+        # A post-shutdown build runs locally.
         assert proc.indexes.snapshot("k").cltree is not None
-        assert proc.indexes.build_fallbacks == 0
 
     def test_pool_recovers_after_break(self, karate):
         backend = ProcessBackend(workers=1)
-        results, child, ipc = backend.run_jobs(
-            [(core_decomposition, (freeze(karate),))])
-        assert results[0] == core_decomposition(karate)
-        assert len(child) == len(ipc) == 1
+
+        def run():
+            future = backend.submit_job(core_decomposition,
+                                        (freeze(karate),))
+            return backend.job_result(future, 60)
+
+        child, _, result = run()
+        assert result == core_decomposition(karate)
+        assert child >= 0
         backend._break()
-        results, _, _ = backend.run_jobs(
-            [(core_decomposition, (freeze(karate),))])
-        assert results[0] == core_decomposition(karate)
+        _, _, result = run()
+        assert result == core_decomposition(karate)
         backend.close()

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from repro.engine.cache import ResultCache, SubproblemMemo, query_key
+from repro.core.cltree import build_cltree_basic
+from repro.engine.cache import ResultCache, query_key
 from repro.engine.executor import EngineFuture, QueryEngine
 from repro.engine.index_manager import IndexManager
 from repro.engine.plans import plan_search
@@ -108,31 +109,6 @@ class TestResultCache:
         assert cache.get(query_key("g", "acq", 1, 4),
                          record_miss=False) is None
         assert cache.stats()["misses"] == 0
-
-
-class TestSubproblemMemo:
-    def test_memoizes_per_version(self):
-        memo = SubproblemMemo()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "core"
-
-        assert memo.get_or_compute("g", 1, "core", None, compute) == "core"
-        assert memo.get_or_compute("g", 1, "core", None, compute) == "core"
-        assert len(calls) == 1
-        # A version bump is a different key: recompute.
-        memo.get_or_compute("g", 2, "core", None, compute)
-        assert len(calls) == 2
-        assert memo.stats()["hits"] == 1
-
-    def test_invalidate_by_graph(self):
-        memo = SubproblemMemo()
-        memo.get_or_compute("g", 1, "core", None, lambda: 1)
-        memo.get_or_compute("h", 1, "core", None, lambda: 2)
-        memo.invalidate("g")
-        assert len(memo) == 1
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +316,7 @@ class TestQueryEnginePool:
             assert doc["queue_depth"] == 0
             assert doc["counters"]["completed"] == 1
             assert doc["latency"]["search"]["count"] == 1
-            assert "cache" in doc and "memo" in doc
+            assert "cache" in doc and "resilience" in doc
         finally:
             engine.shutdown()
 
@@ -418,13 +394,17 @@ class TestExplorerEngineIntegration:
         explorer.search("global", 0, k=2)
         assert explorer.cache.stats()["hits"] == hits_before + 1
 
-    def test_keyword_candidates_memoized(self, fig5):
+    def test_keyword_candidates_match_cltree_lookup(self, fig5):
         explorer = CExplorer()
         explorer.add_graph("fig5", fig5)
-        keyword = sorted(fig5.keywords(0))[0]
-        first = explorer.keyword_candidates(0, 1, keyword)
-        assert explorer.keyword_candidates(0, 1, keyword) is first
-        assert explorer.engine.memo.stats()["hits"] >= 1
+        tree = build_cltree_basic(fig5)
+        for keyword in sorted(fig5.keywords(0)):
+            for k in (1, 2, 3, 4):
+                root = tree.component_root(0, k)
+                expected = () if root is None else tuple(
+                    tree.vertices_with_keyword(root, keyword))
+                assert explorer.keyword_candidates(0, k, keyword) \
+                    == expected, (keyword, k)
 
     def test_concurrent_hammer_no_lost_or_duplicated_results(
             self, dblp_small):

@@ -1,19 +1,22 @@
 """The zero-copy payload plane.
 
 The load-bearing claims: (1) whatever transport ships a frozen
-payload to a worker -- pickled bytes, a fork-inherited registry
-snapshot, or a shared-memory segment attached zero-copy -- query
-results are identical; (2) segments are reference-counted and
-unlinked on version bumps, quarantine discards, and engine shutdown,
-so no run leaks ``/dev/shm`` entries; (3) a lost segment (the
-``segment_loss`` chaos fault) is absorbed by the re-freeze ladder;
-(4) the persistent store round-trips frozen payloads and CL-trees so
-a restarted explorer comes up warm without rebuilding, and spilled
-results readmit identically.
+payload to a worker -- pickled bytes or a shared-memory segment
+attached zero-copy -- query results are identical; (2) segments are
+reference-counted and unlinked on version bumps, quarantine discards,
+and engine shutdown, so no run leaks ``/dev/shm`` entries, and a
+worker holds one payload (one mapping) per graph however many
+versions it has seen; (3) concurrent cold queries publish one payload
+between them, and a lost segment (the ``segment_loss`` chaos fault)
+is absorbed by the re-freeze ladder; (4) the persistent store
+round-trips frozen payloads and CL-trees so a restarted explorer
+comes up warm without rebuilding, and spilled results readmit
+identically.
 """
 
 import gc
 import pickle
+import threading
 
 import pytest
 from conftest import random_graphs
@@ -21,13 +24,14 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.cltree import build_cltree
 from repro.datasets import DblpConfig, generate_dblp_graph
+from repro.engine import backends
 from repro.engine import payloads as payload_plane
 from repro.engine.faults import FaultPlan
 from repro.explorer.cexplorer import CExplorer
 from repro.graph.frozen import FrozenGraph, freeze
 from repro.util.errors import CExplorerError, PayloadCorruptionError
 
-TRANSPORTS = ("pickle", "registry", "shm")
+TRANSPORTS = ("pickle", "shm")
 
 
 @pytest.fixture(autouse=True)
@@ -176,14 +180,14 @@ def _answers(explorer, vertices):
 
 
 def test_process_transport_equivalence(transport_mode, dblp_small):
-    """Process execution returns identical communities on every rung
-    of the transport ladder."""
+    """Process execution returns identical communities on both
+    transports."""
     vertices = [dblp_small.label(v) for v in (10, 25)]
     results = {}
     for transport in TRANSPORTS:
         transport_mode(transport)
-        # The failure counter is process-global and cumulative (the
-        # registry rung legitimately records fork misses): diff it.
+        # The failure counter is process-global and cumulative: diff
+        # it.
         failures = payload_plane.plane_stats()["attach_failures"]
         explorer = CExplorer(workers=2, backend="process")
         try:
@@ -197,7 +201,6 @@ def test_process_transport_equivalence(transport_mode, dblp_small):
         # Shutdown releases every payload this engine published.
         assert payload_plane.live_segments() == 0
     assert results["shm"] == results["pickle"]
-    assert results["registry"] == results["pickle"]
 
 
 def test_thread_backend_equivalence(transport_mode, dblp_small):
@@ -227,6 +230,87 @@ def test_invalidate_releases_segments(transport_mode, dblp_small):
         assert held > 0
         explorer.indexes.invalidate("g")
         assert payload_plane.live_segments() < held
+    finally:
+        explorer.engine.shutdown()
+    assert payload_plane.live_segments() == 0
+
+
+def test_worker_cache_keeps_one_version_per_graph(
+        transport_mode, monkeypatch, dblp_small):
+    """A worker that has seen three versions of one graph holds one
+    cache entry and one shared-memory mapping: each newer payload
+    evicts the older entry together with its mapping."""
+    monkeypatch.setattr(backends, "_WORKER_CACHE", {})
+    monkeypatch.setattr(payload_plane, "_attached", {})
+    frozen = freeze(dblp_small)
+    segments = [payload_plane.publish(("e", "g", "full", version),
+                                      frozen)
+                for version in (1, 2, 3)]
+    try:
+        with monkeypatch.context() as worker:
+            # Resolve the refs as a forked worker does: by attaching,
+            # not through the publishing process's own segments.
+            worker.setattr(payload_plane, "_segments", {})
+            for segment in segments:
+                entry = backends._full_graph_entry(segment.key,
+                                                   segment.ref)
+                assert _csr_lists(entry["frozen"]) == _csr_lists(frozen)
+            assert len(backends._WORKER_CACHE) == 1
+            assert list(payload_plane._attached) == [segments[-1].name]
+    finally:
+        for segment in segments:
+            segment.release()
+
+
+def test_concurrent_cold_queries_share_one_payload(
+        transport_mode, monkeypatch, dblp_small):
+    """Two first queries freezing the same graph version at once: the
+    second to finish adopts the payload the first published instead
+    of replacing (and releasing) it under the first query's job."""
+    vertices = [dblp_small.label(v) for v in (10, 25)]
+    plain = CExplorer()
+    plain.add_graph("g", dblp_small)
+    expected = [plain.search("acq", v, k=4, use_cache=False)
+                for v in vertices]
+    explorer = CExplorer(workers=2, backend="process")
+    explorer.add_graph("g", dblp_small)
+    both_freezing = threading.Barrier(2, timeout=30)
+    freeze_graph = FrozenGraph.from_graph.__func__
+
+    freezes = []
+
+    def gated_from_graph(cls, graph):
+        frozen = freeze_graph(cls, graph)
+        freezes.append(graph)
+        if len(freezes) <= 2:
+            both_freezing.wait()
+        return frozen
+
+    monkeypatch.setattr(FrozenGraph, "from_graph",
+                        classmethod(gated_from_graph))
+    answers = [None, None]
+
+    def search(i):
+        answers[i] = explorer.search("acq", vertices[i], k=4,
+                                     use_cache=False)
+
+    try:
+        threads = [threading.Thread(target=search, args=(i,))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == expected
+        assert len(freezes) == 2
+        assert payload_plane.live_segments() == 1
+        snapshot = explorer.engine.snapshot()
+        counters = snapshot["resilience"]["counters"]
+        assert counters["retries"] == 0
+        assert counters["quarantines"] == 0
+        assert counters["payload_retries"] == 0
+        assert snapshot["counters"].get("full_query_fallbacks", 0) == 0
     finally:
         explorer.engine.shutdown()
     assert payload_plane.live_segments() == 0

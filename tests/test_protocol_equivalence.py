@@ -11,7 +11,7 @@ top of it:
   algorithm, on both backends;
 * engine detections (whole-graph and per-component) identical between
   inline and worker execution;
-* the payload and memo caches behind the pipeline.
+* the payload cache behind the pipeline.
 """
 
 import pytest
@@ -293,16 +293,17 @@ class TestEngineDetect:
             proc.engine.shutdown()
 
     def test_single_worker_fanout_does_not_deadlock(self):
-        """The regression work stealing exists for: the pool's only
-        worker coordinates a per-component fan-out and must claim the
-        component subjobs itself."""
+        """The pool's only worker runs a per-component detection: its
+        component jobs must run on that worker's own thread, never
+        wait behind it in the engine queue."""
         explorer = CExplorer(workers=1)
         explorer.add_graph("g", disconnected_graph())
         try:
             result = explorer.engine.execute(
                 explorer.detect, "label-propagation",
                 per_component=True, seed=3, timeout=30)
-            assert explorer.engine.stats.get("shards_inline") == 3
+            assert explorer.engine.snapshot()["detect_parallelism"][
+                "last_jobs"] == 3
             assert result == explorer.detect(
                 "label-propagation", per_component=True, seed=3)
         finally:
@@ -351,21 +352,3 @@ class TestPayloadAndMemo:
         assert explorer.search("global", 0, k=2, use_cache=False) == \
             plain.search("global", 0, k=2, use_cache=False)
         assert explorer.engine.stats.get("worker_full_query") == 1
-
-    def test_memo_invalidation_is_version_aware(self):
-        from repro.engine.cache import SubproblemMemo
-        memo = SubproblemMemo()
-        memo.get_or_compute("g", 3, "cltree-keyword", (0,), lambda: "a")
-        memo.get_or_compute("g", 4, "cltree-keyword", (1,), lambda: "b")
-        memo.get_or_compute("h", 3, "cltree-keyword", (0,), lambda: "c")
-        # g moved to version 4: only its older entry goes.
-        memo.invalidate("g", version=4)
-        assert memo.get_or_compute("g", 4, "cltree-keyword", (1,),
-                                   lambda: "FRESH") == "b"
-        assert memo.get_or_compute("h", 3, "cltree-keyword", (0,),
-                                   lambda: "FRESH") == "c"
-        assert memo.get_or_compute("g", 3, "cltree-keyword", (0,),
-                                   lambda: "FRESH") == "FRESH"
-        # Unknown versions drop everything for the graph.
-        memo.invalidate("g")
-        assert len(memo) == 1

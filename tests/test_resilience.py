@@ -1,8 +1,8 @@
 """The fault-tolerant execution plane: chaos properties.
 
 The load-bearing claim: under a seeded fault plan, every query either
-returns a result **byte-identical** to fault-free execution (retries,
-hedges and substrate fallbacks absorbed the fault) or fails fast with
+returns a result **byte-identical** to fault-free execution (retries
+and the in-process fallback absorbed the fault) or fails fast with
 a stable error from the registered taxonomy -- and no future is ever
 left hanging.  Plus the machinery itself: deterministic fault plans,
 retry backoff, circuit-breaker demotion/re-promotion, payload
@@ -174,8 +174,8 @@ class TestRetryPolicy:
                           for n in range(1, 6)]
 
     def test_job_class_policies(self):
-        assert POLICIES["full_query"].hedge
-        assert not POLICIES["detect"].hedge
+        assert POLICIES["full_query"].attempts == 3
+        assert POLICIES["detect"].attempts == 2
         assert all(issubclass(exc, CExplorerError) for exc in RETRYABLE)
 
 
@@ -264,8 +264,8 @@ class TestWorkerDeadlines:
 class TestRetryAbsorption:
     def test_thread_fanout_retries_injected_kills(self):
         def detect(explorer):
-            # One per-component job per karate copy, fanned out over
-            # the thread pool.
+            # One per-component job per karate copy, run one after
+            # another on the thread backend.
             return [_canon(explorer.detect("label-propagation",
                                            per_component=True,
                                            seed=seed))
@@ -309,7 +309,7 @@ class TestRetryAbsorption:
 
         # attempt 1 dies to the injected fault *before* the job body;
         # the retry drops the (one-shot) fault and succeeds
-        results = engine.map_shards([job], op="fanout")
+        results = engine.run_jobs([(job, ())], op="fanout")
         assert results == ["ok"]
         assert len(runs) == 1
         assert _resilience(explorer)["counters"]["retries"] >= 1
@@ -324,7 +324,7 @@ class TestRetryAbsorption:
             raise WorkerKilledError("this job never survives")
 
         with pytest.raises(WorkerKilledError):
-            engine.map_shards([always_dies], op="fanout")
+            engine.run_jobs([(always_dies, ())], op="fanout")
         # DEFAULT_POLICY gives unknown job classes two attempts
         assert len(attempts) == 2
         counters = _resilience(explorer)["counters"]
@@ -345,7 +345,7 @@ class TestRetryAbsorption:
 
 
 # ----------------------------------------------------------------------
-# degradation ladder: process -> thread -> promotion back
+# the process breaker: pool -> in-process -> promotion back
 # ----------------------------------------------------------------------
 
 class TestBreakerDegradation:
@@ -362,7 +362,7 @@ class TestBreakerDegradation:
                     for v in VERTICES}
         try:
             # three broken dispatches: every query still answers
-            # (thread/inline fallback), then the breaker is open
+            # (in-process fallback), then the breaker is open
             for v in VERTICES[:3]:
                 assert _canon(explorer.search("acq", v, k=3)) \
                     == expected[v]
@@ -371,7 +371,7 @@ class TestBreakerDegradation:
             assert _canon(explorer.search("acq", VERTICES[3], k=3)) \
                 == expected[VERTICES[3]]
             assert _resilience(explorer)["degraded"]
-            # after the cooldown the probe fan-out re-promotes
+            # after the cooldown the probe dispatch re-promotes
             time.sleep(0.25)
             assert _canon(explorer.search("acq", VERTICES[4], k=3)) \
                 == expected[VERTICES[4]]
@@ -392,7 +392,7 @@ class TestBreakerDegradation:
             def job(value=lambda: token):
                 return "ran"
 
-            results = engine.map_shard_jobs(
+            results = engine.run_jobs(
                 [(job, (lambda: 1,))], op="probe_payload")
             assert results == ["ran"]
             doc = engine.snapshot()
@@ -433,34 +433,6 @@ class TestCorruptionQuarantine:
         payload, _ = engine.indexes.full_payload("dblp")
         assert engine.indexes.discard_payload(payload.key)
         assert not engine.indexes.discard_payload(payload.key)
-
-
-# ----------------------------------------------------------------------
-# hedging
-# ----------------------------------------------------------------------
-
-class TestHedging:
-    def test_straggler_gets_hedged_duplicate(self):
-        explorer = _explorer(
-            backend="process",
-            faults=FaultPlan.from_spec(
-                "seed=8;delay:full_query@1.0=0.4#1"))
-        engine = explorer.engine
-        try:
-            # warm the latency history so p95 is trusted (and tiny)
-            for _ in range(25):
-                engine.stats.observe("full_query", 0.002)
-            start = time.perf_counter()
-            explorer.search("acq", VERTICES[0], k=3)
-            elapsed = time.perf_counter() - start
-            counters = _resilience(explorer)["counters"]
-            assert counters["hedges"] == 1
-            assert counters["hedges_won"] \
-                + counters["hedges_lost"] == 1
-            # the hedge answered well before the 0.4s delay resolved
-            assert elapsed < 0.4
-        finally:
-            engine.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +533,7 @@ class TestServingSurfaces:
         explorer = _explorer()
         doc = explorer.engine.snapshot()["resilience"]
         assert set(doc["counters"]) == set(ResiliencePlane.COUNTER_KEYS)
-        assert set(doc["breakers"]) == {"process", "thread"}
+        assert set(doc["breakers"]) == {"process"}
         for breaker in doc["breakers"].values():
             assert {"state", "opens", "probes", "promotions",
                     "degraded_seconds"} <= set(breaker)
